@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import os
 import sys
 from typing import Optional
 
 from .harness.cache import ResultCache
-from .kernels import ENGINE_CHOICES, ENGINE_ENV_VAR, resolve_engine
 from .harness.export import to_json, to_markdown
 from .harness.figures import ALL_FIGURES
 from .harness.config import DEFAULT_SCALE
@@ -90,27 +88,6 @@ def _print_listing() -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A leading --engine applies to subcommands too: it becomes the process
-    # default (REPRO_ENGINE) before dispatch, which is how the CI engine
-    # matrix drives the faults/trace smokes once per engine.
-    if argv and argv[0].startswith("--engine"):
-        if argv[0] == "--engine" and len(argv) >= 2:
-            engine, rest = argv[1], argv[2:]
-        elif argv[0].startswith("--engine="):
-            engine, rest = argv[0].split("=", 1)[1], argv[1:]
-        else:
-            engine, rest = None, argv
-        if engine is not None and rest and rest[0] in SUBCOMMANDS:
-            from .errors import ConfigError
-
-            try:
-                print(f"engine: {resolve_engine(engine)}")
-            except ConfigError as exc:
-                print(f"python -m repro: error: {exc}", file=sys.stderr)
-                return 2
-            os.environ[ENGINE_ENV_VAR] = engine
-            module_path, _ = SUBCOMMANDS[rest[0]]
-            return importlib.import_module(module_path).main(rest[1:])
     if argv and argv[0] in SUBCOMMANDS:
         module_path, _ = SUBCOMMANDS[argv[0]]
         return importlib.import_module(module_path).main(argv[1:])
@@ -154,26 +131,12 @@ def main(argv=None) -> int:
         "local pool (attach workers with 'python -m repro serve daemon')",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        help="sim-kernel engine (default: $REPRO_ENGINE or scalar); engines "
-        "are bit-identical, so this only affects wall time",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", help="also write the results as JSON"
     )
     parser.add_argument(
         "--markdown", metavar="PATH", help="also write the results as Markdown"
     )
     args = parser.parse_args(argv)
-
-    if args.engine is not None:
-        # Figures build specs with engine=None (the process default), so the
-        # flag becomes the process default: validated here, inherited by
-        # local pool workers.  Bit-identical engines make this a pure
-        # wall-time choice.
-        print(f"engine: {resolve_engine(args.engine)}")
-        os.environ[ENGINE_ENV_VAR] = args.engine
 
     if args.figure == "list":
         _print_listing()

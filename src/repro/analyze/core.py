@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Packages whose behaviour feeds figure output; the strictest rules apply.
 SIM_CRITICAL_PACKAGES = frozenset(
-    {"sim", "htm", "cache", "mem", "signatures", "workloads", "kernels"}
+    {"sim", "htm", "cache", "mem", "signatures", "workloads"}
 )
 
 #: Every package of the repro tree (used to infer a file's logical package

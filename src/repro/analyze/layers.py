@@ -22,19 +22,12 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "cache": frozenset({"mem", "sim"}),
     "signatures": frozenset({"sim"}),
     "htm": frozenset({"mem", "sim", "cache", "signatures"}),
-    # Vectorized twins of the scalar kernel classes: the package imports the
-    # layers whose interfaces it re-implements, and only the runtime (for
-    # kit injection), harness, and perf (for engine-knob CLI validation)
-    # import it — htm/cache/signatures receive kits duck-typed and stay
-    # below it.
-    "kernels": frozenset({"mem", "sim", "cache", "signatures"}),
-    "runtime": frozenset(
-        {"mem", "sim", "cache", "signatures", "htm", "kernels"}
-    ),
+    # A compatibility stub for the benchmark harness outside src/; it
+    # imports nothing and no package here imports it.
+    "kernels": frozenset(),
+    "runtime": frozenset({"mem", "sim", "cache", "signatures", "htm"}),
     "workloads": frozenset({"mem", "sim", "runtime"}),
-    "harness": frozenset(
-        {"mem", "sim", "htm", "runtime", "workloads", "kernels"}
-    ),
+    "harness": frozenset({"mem", "sim", "htm", "runtime", "workloads"}),
     "faults": frozenset(
         {"mem", "sim", "htm", "runtime", "workloads", "harness"}
     ),
@@ -48,7 +41,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     # layer (and drives the harness), and nothing below ever imports it.
     "perf": frozenset(
         {"mem", "sim", "cache", "signatures", "htm", "runtime", "workloads",
-         "harness", "kernels"}
+         "harness"}
     ),
     # The job service drives the harness (grids, cache, figures) from
     # separate processes; nothing below ever imports it.

@@ -56,33 +56,20 @@ class CacheHierarchy:
         self,
         machine: MachineConfig,
         controller: MemoryController,
-        kit=None,
     ) -> None:
         self.machine = machine
         self.controller = controller
-        # ``kit`` is a duck-typed engine kit (see :mod:`repro.kernels`)
-        # supplying the tag-array and latency-table classes; None keeps the
-        # scalar defaults so this layer never imports the kernels package.
-        array_cls = SetAssociativeArray if kit is None else kit.setassoc_cls
         self.l1s = [
-            array_cls(machine.l1, f"l1[{core}]")
+            SetAssociativeArray(machine.l1, f"l1[{core}]")
             for core in range(machine.cores)
         ]
-        self.llc = array_cls(machine.llc, "llc")
+        self.llc = SetAssociativeArray(machine.llc, "llc")
         self.directory = Directory()
         # Hot-path constants: LatencyConfig is frozen, so the hit latencies
-        # can be summed once instead of per access.  The engine kit's latency
-        # table precomputes the same two constants with the same addition
-        # order, so both paths yield bit-identical floats.
+        # can be summed once instead of per access.
         latency = machine.latency
-        if kit is None:
-            self.latency_table = None
-            self._l1_hit_ns = latency.l1_ns
-            self._llc_hit_ns = latency.l1_ns + latency.llc_ns
-        else:
-            self.latency_table = kit.latency_cls(latency)
-            self._l1_hit_ns = self.latency_table.l1_hit_ns
-            self._llc_hit_ns = self.latency_table.llc_hit_ns
+        self._l1_hit_ns = latency.l1_ns
+        self._llc_hit_ns = latency.l1_ns + latency.llc_ns
         #: Which cores' L1s hold each line (avoids probing all L1s).
         self.l1_holders: Dict[int, Set[int]] = {}
         self.on_l1_evict: Optional[L1EvictCallback] = None

@@ -28,25 +28,18 @@ slower::
 Baselines are machine-specific: reseed them (``-m smoke --out-dir .``) on
 the machine that will run the gate.
 
-``--engine`` selects the sim-kernel engine (scalar/vectorized/auto) for
-every point and stamps it into the artifact.  The per-point gate only
-applies when the baseline was measured under the same engine; comparing
-across engines, ``--speedup-floor R`` gates the *aggregate* wall time of
-matched simulated points instead (e.g. "the vectorized run must be at
-least R times faster than the scalar baseline").  Both gates work on any
-tier, smoke or ``--full``.
+The special name ``epochs`` benches the epoch dispatcher on its own: block
+read-modify-write sweeps of width 1 to 64 through a real System.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..kernels import ENGINE_CHOICES, resolve_engine
 from .cache import ResultCache
 from .config import DEFAULT_SCALE
 from .figures import FIGURE_GRIDS
@@ -124,29 +117,6 @@ def compare_to_baseline(
     return violations
 
 
-def artifact_engine(artifact: dict) -> str:
-    """The engine an artifact was measured under (pre-engine files: scalar)."""
-    return artifact.get("engine", "scalar")
-
-
-def aggregate_speedup(
-    artifact: dict, baseline: dict
-) -> Tuple[float, float, int]:
-    """Aggregate wall time of matched simulated points: (base_s, cur_s, n).
-
-    The cross-engine gate: per-point tolerances compare like with like, so
-    when the current engine differs from the baseline's the useful question
-    is the *aggregate* ratio.  Points pair under :func:`comparable_points`.
-    """
-    base_total = current_total = 0.0
-    matched = 0
-    for point, base in comparable_points(artifact, baseline):
-        base_total += base.get("elapsed_s", 0.0)
-        current_total += point["elapsed_s"]
-        matched += 1
-    return base_total, current_total, matched
-
-
 def _load_baseline(compare_arg: str, figure: str):
     """Resolve and load the baseline artifact for ``figure``.
 
@@ -169,7 +139,6 @@ def _artifact(
     outcome: GridOutcome,
     args: argparse.Namespace,
     total_s: float,
-    engine: str,
 ) -> dict:
     return {
         "figure": figure,
@@ -177,7 +146,6 @@ def _artifact(
         "scale": args.scale,
         "seed": args.seed,
         "jobs": args.jobs,
-        "engine": engine,
         "total_s": round(total_s, 3),
         "points_total": len(outcome.runs),
         "simulated": outcome.simulated,
@@ -195,109 +163,13 @@ def _artifact(
     }
 
 
-def _kernel_points(engine: str, full: bool) -> List[dict]:
-    """Time the four batched kernel workloads under ``engine``.
-
-    The ``kernels`` bench name measures the kernels *as kernels* — batched
-    Bloom insert/probe, batched tag probes, histogram flush, latency
-    accumulation — rather than end-to-end grids, because the event-driven
-    access path issues one op at a time and cannot exercise batching.  The
-    scalar engine runs its best per-op loop; the vectorized engine runs its
-    batch entry points.  Point dicts are artifact-shaped so --compare and
-    --speedup-floor gate them exactly like figure points.
-    """
-    from ..kernels import kit_for
-    from ..kernels.latency import LEVELS
-    from ..params import CacheGeometry, LatencyConfig, LINE_SIZE
-    from ..sim.rng import RngStreams
-
-    kit = kit_for(engine)
-    scale = 8 if full else 1
-    rng = RngStreams(0xBE7C).stream("bench.kernels")
-    points: List[dict] = []
-
-    def timed(label: str, body) -> None:
-        stopwatch = Stopwatch()
-        body()
-        points.append(
-            {
-                "key": ["kernel", label],
-                "label": label,
-                "fingerprint": None,
-                "cached": False,
-                "elapsed_s": round(stopwatch.elapsed_s, 4),
-            }
-        )
-
-    bloom_n = 300_000 * scale
-    values = [rng.getrandbits(40) for _ in range(bloom_n)]
-    signature = kit.bloom_cls(4096, 4)
-
-    def bloom_insert() -> None:
-        batch = getattr(signature, "insert_batch", None)
-        if batch is not None:
-            batch(values)
-        else:
-            signature.insert_all(values)
-
-    def bloom_probe() -> None:
-        batch = getattr(signature, "contains_batch", None)
-        if batch is not None:
-            batch(values)
-        else:
-            contains = signature.maybe_contains
-            for value in values:
-                contains(value)
-
-    timed("bloom.insert", bloom_insert)
-    timed("bloom.probe", bloom_probe)
-
-    probe_n = 1_000_000 * scale
-    geometry = CacheGeometry(size_bytes=4096 * 8 * LINE_SIZE, ways=8)
-    array = kit.setassoc_cls(geometry, "bench")
-    for line in range(0, 16_384, 2):
-        array.fill(line * LINE_SIZE)
-    addrs = [rng.randrange(32_768) * LINE_SIZE for _ in range(probe_n)]
-
-    def tag_probe() -> None:
-        batch = getattr(array, "probe_batch", None)
-        if batch is not None:
-            batch(addrs)
-        else:
-            peek = array.peek
-            for addr in addrs:
-                peek(addr)
-
-    timed("setassoc.probe", tag_probe)
-
-    hist_n = 2_000_000 * scale
-    histogram = kit.histogram_cls()
-    record = histogram.record
-    for _ in range(hist_n):
-        record(rng.random() * 4096.0)
-    timed("histogram.flush", lambda: histogram.count)
-
-    lat_n = 1_000_000 * scale
-    table = kit.latency_cls(LatencyConfig())
-    levels = [LEVELS[rng.randrange(3)] for _ in range(lat_n)]
-    mems = [rng.random() * 100.0 for _ in range(lat_n)]
-    timed("latency.accumulate", lambda: table.accumulate(levels, mems))
-    # The epoch dispatch family rides along for the engines whose block
-    # dispatch actually differs (scalar loop vs fused epoch flush).  The
-    # vectorized kit has no epoch dispatcher — its blocks run the scalar
-    # per-op walk — so the points would only re-measure scalar dispatch
-    # while diluting the vectorized kernel-speedup gate's aggregate.
-    if engine in ("scalar", "batched"):
-        points.extend(_epoch_points(engine, full))
-    return points
-
-
 #: Epoch widths benched by the ``epoch.w*`` family — the block sizes the
-#: dispatcher sees, from fence-to-scalar narrow blocks up to full sweeps.
+#: dispatcher sees, from narrow blocks that fence to the per-op walk up to
+#: full sweeps.
 EPOCH_WIDTHS = (1, 4, 16, 64)
 
 
-def _epoch_points(engine: str, full: bool) -> List[dict]:
+def _epoch_points(full: bool) -> List[dict]:
     """Time block dispatch end-to-end through a real System per width.
 
     Each point issues the same number of *blocks* (epochs), so wider
@@ -306,7 +178,7 @@ def _epoch_points(engine: str, full: bool) -> List[dict]:
     widths where epoch dispatch actually runs.  The swept array cycles
     four resident lines, so every access is an L1 hit and the point times
     the dispatch path itself rather than shared fill/eviction work.  At
-    width 1 the dispatcher's fence drops every block to the scalar walk,
+    width 1 the dispatcher's fence drops every block to the per-op walk,
     pinning the fallback overhead; the wide points time the fused loops.
     """
     from ..mem.address import MemoryKind
@@ -317,10 +189,7 @@ def _epoch_points(engine: str, full: bool) -> List[dict]:
     points: List[dict] = []
     for width in EPOCH_WIDTHS:
         system = System(
-            MachineConfig.scaled(SMOKE_SCALE),
-            HTMConfig(),
-            seed=0xE90C,
-            engine=engine,
+            MachineConfig.scaled(SMOKE_SCALE), HTMConfig(), seed=0xE90C
         )
         app = system.process("epoch")
 
@@ -346,18 +215,10 @@ def _epoch_points(engine: str, full: bool) -> List[dict]:
     return points
 
 
-def _epoch_artifact(
-    args: argparse.Namespace, engine: str
-) -> Tuple[dict, float]:
-    """The ``epochs`` bench figure: the epoch dispatch family on its own.
-
-    This is the figure the batched-engine CI gate runs ``--speedup-floor``
-    against: it contains exactly the points that measure epoch dispatch,
-    so the aggregate certifies the dispatcher itself rather than being
-    diluted by kernel points both engines run identically.
-    """
+def _epoch_artifact(args: argparse.Namespace) -> Tuple[dict, float]:
+    """The ``epochs`` bench figure: the epoch dispatch family on its own."""
     stopwatch = Stopwatch()
-    points = _epoch_points(engine, args.full)
+    points = _epoch_points(args.full)
     total_s = stopwatch.elapsed_s
     return {
         "figure": "epochs",
@@ -365,28 +226,6 @@ def _epoch_artifact(
         "scale": args.scale,
         "seed": args.seed,
         "jobs": args.jobs,
-        "engine": engine,
-        "total_s": round(total_s, 3),
-        "points_total": len(points),
-        "simulated": len(points),
-        "cache_hits": 0,
-        "points": points,
-    }, total_s
-
-
-def _kernel_artifact(
-    args: argparse.Namespace, engine: str
-) -> Tuple[dict, float]:
-    stopwatch = Stopwatch()
-    points = _kernel_points(engine, args.full)
-    total_s = stopwatch.elapsed_s
-    return {
-        "figure": "kernels",
-        "quick": not args.full,
-        "scale": args.scale,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "engine": engine,
         "total_s": round(total_s, 3),
         "points_total": len(points),
         "simulated": len(points),
@@ -409,8 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="FIGURE",
         help="dynamic figures to bench (default: all of "
         + ", ".join(sorted(FIGURE_GRIDS))
-        + "); the special name 'kernels' benches the batched sim kernels "
-        "themselves, and 'epochs' the epoch dispatch family alone",
+        + "); the special name 'epochs' benches the epoch dispatch family "
+        "alone",
     )
     parser.add_argument(
         "--full",
@@ -473,21 +312,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed per-point slowdown for --compare "
         f"(default {DEFAULT_TOLERANCE:g})",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        help="sim-kernel engine for every point (default: the process "
-        "default — $REPRO_ENGINE or scalar); recorded in the artifact",
-    )
-    parser.add_argument(
-        "--speedup-floor",
-        type=float,
-        metavar="RATIO",
-        help="with --compare: additionally require the aggregate wall time "
-        "of matched simulated points to be at least RATIO times faster "
-        "than the baseline's (the cross-engine gate; per-point tolerances "
-        "only apply when the engines match)",
-    )
     args = parser.parse_args(argv)
     if args.tier == "smoke":
         args.full = False
@@ -496,104 +320,46 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = args.figures or sorted(FIGURE_GRIDS)
     unknown = [
         name for name in names
-        if name not in FIGURE_GRIDS and name not in ("kernels", "epochs")
+        if name not in FIGURE_GRIDS and name != "epochs"
     ]
     if unknown:
         parser.error(
             f"unknown figure(s) {', '.join(unknown)}; benchable figures: "
             + ", ".join(sorted(FIGURE_GRIDS))
-            + ", kernels, epochs"
+            + ", epochs"
         )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Resolve once so the artifact records the engine actually measured
-    # ("auto" resolves here) and every point runs under it explicitly.
-    engine = resolve_engine(args.engine)
 
     summary_rows = []
     violations: List[str] = []
     compared_total = 0
     baselines_loaded = 0
     for name in names:
-        if name == "kernels":
-            artifact, total_s = _kernel_artifact(args, engine)
-            outcome = None
-        elif name == "epochs":
-            artifact, total_s = _epoch_artifact(args, engine)
-            outcome = None
+        if name == "epochs":
+            artifact, total_s = _epoch_artifact(args)
         else:
-            points = [
-                dataclasses.replace(
-                    point, spec=dataclasses.replace(point.spec, engine=engine)
-                )
-                for point in FIGURE_GRIDS[name](
-                    quick=not args.full, scale=args.scale, seed=args.seed
-                )
-            ]
+            points = FIGURE_GRIDS[name](
+                quick=not args.full, scale=args.scale, seed=args.seed
+            )
             stopwatch = Stopwatch()
             outcome = run_grid_detailed(
                 points, jobs=args.jobs, cache=cache, verify_sample=args.verify
             )
             total_s = stopwatch.elapsed_s
-            artifact = _artifact(name, outcome, args, total_s, engine)
+            artifact = _artifact(name, outcome, args, total_s)
         if args.compare is not None:
             baseline, baseline_path = _load_baseline(args.compare, name)
             if baseline is None:
                 print(f"[{name}] no baseline at {baseline_path}; not gated")
             else:
                 baselines_loaded += 1
-                base_engine = artifact_engine(baseline)
-                if "engine" not in baseline:
-                    # Pre-engine artifacts were all scalar measurements;
-                    # assume that rather than refusing, but say so.
-                    print(
-                        f"[{name}] warning: baseline {baseline_path} has no "
-                        f"engine field; assuming {base_engine!r}"
-                    )
                 compared_total += len(comparable_points(artifact, baseline))
-                if base_engine == engine:
-                    found = compare_to_baseline(
-                        artifact, baseline, args.tolerance
-                    )
-                    violations.extend(found)
-                    verdict = (
-                        "ok" if not found else f"{len(found)} regression(s)"
-                    )
-                    print(
-                        f"[{name}] compared against {baseline_path}: {verdict}"
-                    )
-                else:
-                    # Cross-engine runs never gate point-by-point: the
-                    # engines have different constant factors by design.
-                    # --speedup-floor below gates the aggregate instead.
-                    print(
-                        f"[{name}] baseline {baseline_path} measured the "
-                        f"{base_engine} engine (this run: {engine}); "
-                        "per-point tolerance not applied"
-                    )
-                if args.speedup_floor is not None:
-                    base_s, current_s, matched = aggregate_speedup(
-                        artifact, baseline
-                    )
-                    if matched == 0 or current_s <= 0:
-                        print(
-                            f"[{name}] speedup floor not applicable "
-                            f"({matched} matched simulated points)"
-                        )
-                    else:
-                        ratio = base_s / current_s
-                        print(
-                            f"[{name}] aggregate speedup vs {base_engine} "
-                            f"baseline: {ratio:.2f}x over {matched} points "
-                            f"({base_s:.2f}s -> {current_s:.2f}s)"
-                        )
-                        if ratio < args.speedup_floor:
-                            violations.append(
-                                f"{name}: aggregate speedup {ratio:.2f}x is "
-                                f"below the required floor "
-                                f"{args.speedup_floor:g}x"
-                            )
+                found = compare_to_baseline(artifact, baseline, args.tolerance)
+                violations.extend(found)
+                verdict = "ok" if not found else f"{len(found)} regression(s)"
+                print(f"[{name}] compared against {baseline_path}: {verdict}")
         artifact_path = out_dir / f"BENCH_{name}.json"
         artifact_path.write_text(
             json.dumps(artifact, indent=2) + "\n", encoding="utf-8"
@@ -620,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         format_table(
             ["figure", "points", "simulated", "cached", "wall", "slowest point"],
             summary_rows,
-            title=f"bench: jobs={args.jobs}, engine={engine}"
+            title=f"bench: jobs={args.jobs}"
             + (f", cache={args.cache_dir}" if args.cache_dir else ""),
         )
     )

@@ -86,19 +86,12 @@ def spec_fingerprint(
     label: Optional[str] = None,
     version: int = CACHE_VERSION,
 ) -> str:
-    """Content hash identifying one experiment point (64 hex chars).
-
-    The spec's ``engine`` knob is excluded: the scalar and vectorized
-    kernels are proven bit-identical (``tests/kernels/``), so runs under
-    either engine produce — and may share — the same cached result, just as
-    instrumented and plain runs share one fingerprint.
-    """
+    """Content hash identifying one experiment point (64 hex chars)."""
     payload = {
         "cache_version": version,
         "label": label,
         "spec": _canonical(spec),
     }
-    payload["spec"].get("fields", {}).pop("engine", None)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -9,10 +9,9 @@ and how many memory-intensive co-runners to add.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import ConfigError
-from ..kernels import ENGINE_CHOICES
 from ..params import HTMConfig, MachineConfig
 from ..workloads import WORKLOADS, WorkloadParams
 
@@ -57,11 +56,6 @@ class ExperimentSpec:
     #: Extra cache shrink relative to footprints (contention compensation;
     #: see :meth:`repro.params.MachineConfig.scaled`).  0 means "scale / 16".
     cache_scale: float = 0.0
-    #: Sim-kernel engine: "scalar", "vectorized", "auto", or None for the
-    #: process default (see :mod:`repro.kernels`).  Engines are bit-identical,
-    #: so this knob never changes results — it is excluded from the result
-    #: cache fingerprint for exactly that reason.
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.benchmarks:
@@ -70,11 +64,6 @@ class ExperimentSpec:
             raise ConfigError("membound_instances must be >= 0")
         if self.corunner not in ("membound", "graphhog"):
             raise ConfigError(f"unknown co-runner {self.corunner!r}")
-        if self.engine is not None and self.engine not in ENGINE_CHOICES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; choose one of "
-                + ", ".join(ENGINE_CHOICES)
-            )
 
     def machine(self) -> MachineConfig:
         cache_scale = self.cache_scale or self.scale / 16

@@ -57,22 +57,7 @@ def _rebuild_failure(
 
 
 def build_system(spec: ExperimentSpec) -> System:
-    return System(
-        spec.machine(), spec.htm, seed=spec.seed, engine=spec.engine
-    )
-
-
-def epoch_summary(system: System) -> Optional[dict]:
-    """Diagnostic epoch-dispatch counters of a (finished) run, or ``None``.
-
-    Populated only under ``spec.engine="batched"``: epochs flushed, mean
-    batch width, scalar-fallback ratio, and fence reasons.  Deliberately a
-    side channel — epoch counters never enter :class:`RunResult` or any
-    export, so artifacts stay byte-identical across engines (the
-    bit-identity contract the differential suites enforce).
-    """
-    stats = system.epoch_stats
-    return None if stats is None else stats.as_dict()
+    return System(spec.machine(), spec.htm, seed=spec.seed)
 
 
 def run_experiment(

@@ -119,17 +119,12 @@ class HTMSystem:
         controller: MemoryController,
         hierarchy: CacheHierarchy,
         stats: StatsRegistry,
-        kit=None,
     ) -> None:
         self.machine = machine
         self.config = config
         self.controller = controller
         self.hierarchy = hierarchy
         self.stats = stats
-        #: Duck-typed engine kit (see :mod:`repro.kernels`) selecting the
-        #: signature filter classes; None keeps the scalar defaults so this
-        #: layer never imports the kernels package.
-        self.kernel_kit = kit
         self.tss = TransactionStatusStructure()
         self.tx_ids = TxIdAllocator()
         self.domains = ConflictDomainRegistry(self._isolation_enabled())
@@ -137,8 +132,8 @@ class HTMSystem:
         #: Optional trace capture (set by the System facade).
         self.capture = None
         #: Epoch dispatcher (:class:`repro.htm.batch.BatchDispatcher`), set
-        #: by the System facade under ``engine="batched"``; the block-level
-        #: context methods in :mod:`repro.runtime.txapi` route through it.
+        #: by the System facade; the block-level context methods in
+        #: :mod:`repro.runtime.txapi` route through it.
         self.batch = None
         #: Optional event tracer (set by ``repro.obs.attach_tracer``); hook
         #: sites guard with ``is not None`` and never import the obs package.

@@ -1,4 +1,4 @@
-"""The epoch dispatcher: fused block paths for ``engine="batched"``.
+"""The epoch dispatcher: fused block paths for block memory operations.
 
 The min-clock engine resumes one thread per step, and a step runs atomically
 — no other thread can observe or perturb state until the next yield.  Every
@@ -7,7 +7,7 @@ workload already issues its memory operations in blocks between yields
 .CHUNK_LINES` lines per chunk, the membound co-runner sweeps
 ``_SWEEP_CHUNK`` read-modify-write pairs), so a whole block *is* an epoch:
 a batch of operations whose interleaving against other threads is fixed by
-construction.  What the scalar engine spends on that block is largely
+construction.  What the per-op walk spends on that block is largely
 interpreter overhead — context/method frames, double cache probes, per-op
 result allocation, per-op counter calls.
 
@@ -22,16 +22,17 @@ handlers (``handle_l1_eviction``/``handle_llc_eviction``) are inlined
 statement-for-statement as well: the three fused loops deliberately repeat
 that code, because a shared helper would reintroduce exactly the per-op
 call frames the epoch core exists to remove.  Bit-identity against the
-scalar engine is enforced by the differential, trace-neutrality, and
-byte-identical-export suites in ``tests/kernels``.
+per-op walk is enforced by the fused-vs-per-op oracle suite
+(``tests/htm/test_fused_oracle.py``), which forces every block down the
+per-op walk by overriding :meth:`BatchDispatcher._fence_reason`.
 
-The *dependency fence* drops a block back to scalar single-step dispatch
+The *dependency fence* drops a block back to per-op dispatch
 whenever per-operation ordering could be observed from outside the fused
 loop: an event tracer or trace capture attached (per-op events must
-interleave exactly as the scalar engine emits them), a fault injector armed
+interleave exactly as the per-op walk emits them), a fault injector armed
 (crash points must see every intermediate hook), or the bandwidth model
 enabled (channel queueing is stateful per request).  Conflicts do *not*
-fence a block — the fused loops run the exact scalar conflict-resolution
+fence a block — the fused loops run the exact per-op conflict-resolution
 staging inline per line, which is what the epoch-fence mutation tests pin
 down.
 """
@@ -57,19 +58,18 @@ _SHARED = MesiState.SHARED
 class BatchDispatcher:
     """Fused epoch execution over one :class:`~repro.htm.base.HTMSystem`.
 
-    Installed by the runtime as ``htm.batch`` when the engine kit is
-    batched; the block-granular context methods
+    Installed by the runtime as ``htm.batch``; the block-granular context methods
     (:meth:`~repro.runtime.txapi.TxContext.write_block`,
     :meth:`~repro.runtime.txapi.TxContext.read_block`,
     :meth:`~repro.runtime.txapi.DirectContext.rmw_add_block`) route through
     it.  Word-granular operations never enter the dispatcher and always
-    take the scalar path.
+    take the per-op path.
     """
 
     def __init__(self, htm: HTMSystem, epoch_stats) -> None:
         self.htm = htm
         self.epoch = epoch_stats
-        # Construction-time invariant hoists, mirroring the scalar paths'
+        # Construction-time invariant hoists, mirroring the per-op paths'
         # own per-access hoists in HTMSystem.__init__ / CacheHierarchy.
         hierarchy = htm.hierarchy
         controller = htm.controller
@@ -116,7 +116,7 @@ class BatchDispatcher:
         """The post-probe half of ``HTMSystem._onchip_conflict_check``.
 
         The fused loops call ``directory.check_access`` themselves (exactly
-        once per access, like the scalar path) and only pay this resolution
+        once per access, like the per-op path) and only pay this resolution
         staging when a conflict actually surfaced.
         """
         htm = self.htm
@@ -412,7 +412,7 @@ class BatchDispatcher:
         finally:
             # Counter increments commute, so the epoch's total is flushed
             # in one call — also on the abort unwind, keeping the final
-            # counters equal to the scalar engine's per-op increments.
+            # counters equal to the per-op walk's increments.
             if log_appends:
                 htm.stats.incr("nvm.log_appends", log_appends)
 
@@ -421,7 +421,7 @@ class BatchDispatcher:
 
         Loads are pure (backing-store/DRAM-cache dict reads), so only the
         first line's value — the one ``read_block`` returns — is actually
-        materialised; the scalar path computes and discards the rest.
+        materialised; the per-op path computes and discards the rest.
         """
         width = -(-nbytes // LINE_SIZE)
         reason = self._fence_reason()
@@ -670,7 +670,7 @@ class BatchDispatcher:
         Per address: the non-transactional read (directory + off-chip
         staging, GetS, load) followed by the write of ``value + delta``
         (staging, GetM, store) — the membound co-runner's inner loop, which
-        is the single largest consumer of scalar dispatch time.
+        is the single largest consumer of per-op dispatch time.
         """
         width = 2 * len(addrs)
         reason = self._fence_reason()
@@ -724,10 +724,10 @@ class BatchDispatcher:
             line_addr = addr & _LINE_MASK
             # ``value`` stays None when no transaction was active at the
             # write's issue point: then no conflict staging (and so no
-            # victim rollback) can run between the scalar sequence's load
+            # victim rollback) can run between the per-op sequence's load
             # and store, and the pair fuses into one ``rmw_word`` at the
             # tail.  Otherwise the load happens here — the same point the
-            # scalar read op returns its value, before the write staging's
+            # per-op read returns its value, before the write staging's
             # potential rollbacks — and the store replays it exactly.
             value = None
             for is_write in (False, True):

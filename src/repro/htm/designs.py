@@ -71,7 +71,7 @@ class SignatureOnlyHTM(HTMSystem):
         # filters hold only LLC-overflowed lines, whose count the compressed
         # caches already keep at paper magnitude, so those stay nominal.
         tx.signature = SignaturePair(
-            self.config.signature, self.machine.scale, kit=self.kernel_kit
+            self.config.signature, self.machine.scale
         )
         self.domains.register(tx.tx_id, tx.domain_id, tx.signature)
 
@@ -129,9 +129,7 @@ class UHTM(HTMSystem):
     """
 
     def _register_tracking(self, tx: TxHandle) -> None:
-        tx.signature = SignaturePair(
-            self.config.signature, kit=self.kernel_kit
-        )
+        tx.signature = SignaturePair(self.config.signature)
         self.domains.register(tx.tx_id, tx.domain_id, tx.signature)
 
     def _offchip_trigger(self, llc_miss: bool) -> bool:
@@ -183,9 +181,7 @@ class IdealHTM(HTMSystem):
         return True
 
     def _register_tracking(self, tx: TxHandle) -> None:
-        tx.signature = SignaturePair(
-            self.config.signature, kit=self.kernel_kit
-        )
+        tx.signature = SignaturePair(self.config.signature)
         self.domains.register(tx.tx_id, tx.domain_id, tx.signature)
 
     def _offchip_trigger(self, llc_miss: bool) -> bool:
@@ -334,14 +330,8 @@ def build_htm(
     controller: MemoryController,
     hierarchy: CacheHierarchy,
     stats: StatsRegistry,
-    kit=None,
 ) -> HTMSystem:
-    """Instantiate the design named by ``config.design``.
-
-    ``kit`` is a duck-typed engine kit (see :mod:`repro.kernels`) passed
-    through to the design so per-transaction signatures use the selected
-    filter classes.
-    """
+    """Instantiate the design named by ``config.design``."""
     classes = {
         HTMDesign.LLC_BOUNDED: LLCBoundedHTM,
         HTMDesign.SIGNATURE_ONLY: SignatureOnlyHTM,
@@ -351,4 +341,4 @@ def build_htm(
     cls = classes.get(config.design)
     if cls is None:
         raise ConfigError(f"unknown HTM design {config.design!r}")
-    return cls(machine, config, controller, hierarchy, stats, kit=kit)
+    return cls(machine, config, controller, hierarchy, stats)

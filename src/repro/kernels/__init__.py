@@ -1,134 +1,15 @@
-"""Engine selection for the vectorized sim kernels.
+"""Compatibility stub: the simulator has one execution engine.
 
-The simulator's four innermost loops — Bloom probe/insert, set-associative
-lookup/fill, hierarchy latency accumulation, histogram bucketing — each have
-two engines behind one interface: the scalar classes the rest of the tree
-already uses, and numpy-batched twins in this package.  An
-:class:`EngineKit` bundles one class per kernel; :func:`kit_for` resolves a
-config's ``engine`` knob to a kit:
-
-* ``"scalar"`` — the pure-Python classes (the default; no dependencies).
-* ``"vectorized"`` — the numpy kernels; raises :class:`~repro.errors
-  .ConfigError` with an install hint when numpy is missing.
-* ``"batched"`` — the epoch-batched execution core: scalar tag arrays (the
-  fastest per-op structures) plus the numpy histogram/latency kernels, and
-  — the part that actually wins end-to-end — the epoch dispatcher in
-  :mod:`repro.htm.batch` that fuses whole operation blocks per scheduler
-  step.  Requires numpy, with the same install hint as ``"vectorized"``.
-* ``"auto"`` — vectorized when numpy imports, scalar otherwise (``auto``
-  stays conservative: it never opts into the batched dispatcher).
-* ``None`` — the process default: the ``REPRO_ENGINE`` environment variable
-  if set (how CI runs the whole suite per engine), else ``"scalar"``.
-
-Engine choice never affects results: the two engines are proven
-bit-identical by the differential/mutation tier in ``tests/kernels/``, which
-is also why :func:`repro.harness.cache.spec_fingerprint` excludes the knob.
+Its only caller is the ``perfbench/`` benchmark harness, which asks
+``kit_for(None).batched`` to decide whether to time the epoch dispatcher's
+block loops.  Fused epochs are always on, so the answer is always yes.
 """
 
-from __future__ import annotations
+from types import SimpleNamespace
 
-import os
-from dataclasses import dataclass
-from typing import Optional
-
-from ..cache.setassoc import SetAssociativeArray
-from ..errors import ConfigError
-from ..signatures.bloom import BankedBloomFilter, BloomFilter
-from ..sim.stats import Histogram
-from ._np import NUMPY_MISSING_MSG, numpy_available
-from .latency import LatencyTable, VectorLatencyTable
-from .setassoc import VectorSetAssociativeArray
-from .signatures import VectorBankedBloomFilter, VectorBloomFilter
-from .stats import VectorHistogram
-
-#: The values a config ``engine`` knob accepts (``None`` additionally means
-#: "process default").
-ENGINE_CHOICES = ("scalar", "vectorized", "batched", "auto")
-
-#: Environment variable consulted when the knob is ``None``.  Reading the
-#: environment here is determinism-safe precisely because engines are
-#: bit-identical: the variable can change which code runs, never what it
-#: computes.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
+_KIT = SimpleNamespace(batched=True)
 
 
-@dataclass(frozen=True)
-class EngineKit:
-    """One implementation class per kernel, plus the resolved engine name."""
-
-    name: str
-    bloom_cls: type
-    banked_bloom_cls: type
-    setassoc_cls: type
-    histogram_cls: type
-    latency_cls: type
-    #: True for the epoch-batched execution core: the runtime additionally
-    #: installs :class:`repro.sim.engine.EpochEngine` and the
-    #: :class:`repro.htm.batch.BatchDispatcher` block paths.
-    batched: bool = False
-
-
-SCALAR_KIT = EngineKit(
-    name="scalar",
-    bloom_cls=BloomFilter,
-    banked_bloom_cls=BankedBloomFilter,
-    setassoc_cls=SetAssociativeArray,
-    histogram_cls=Histogram,
-    latency_cls=LatencyTable,
-)
-
-VECTOR_KIT = EngineKit(
-    name="vectorized",
-    bloom_cls=VectorBloomFilter,
-    banked_bloom_cls=VectorBankedBloomFilter,
-    setassoc_cls=VectorSetAssociativeArray,
-    histogram_cls=VectorHistogram,
-    latency_cls=VectorLatencyTable,
-)
-
-# The batched kit keeps the scalar tag arrays and Bloom filters — their
-# dict/bigint per-op paths are the fastest single-operation code, and the
-# epoch dispatcher's fused loops run over them — while the histogram and
-# latency kernels come from the vector twins, whose record/flush split is
-# exactly the stage-then-flush shape the dispatcher batches.
-BATCHED_KIT = EngineKit(
-    name="batched",
-    bloom_cls=BloomFilter,
-    banked_bloom_cls=BankedBloomFilter,
-    setassoc_cls=SetAssociativeArray,
-    histogram_cls=VectorHistogram,
-    latency_cls=VectorLatencyTable,
-    batched=True,
-)
-
-_KITS = {
-    "scalar": SCALAR_KIT,
-    "vectorized": VECTOR_KIT,
-    "batched": BATCHED_KIT,
-}
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an engine knob to a concrete engine name.
-
-    Returns ``"scalar"``, ``"vectorized"``, or ``"batched"``; raises
-    ConfigError for an unknown knob, or for ``"vectorized"``/``"batched"``
-    without numpy installed.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "scalar")
-    if engine not in ENGINE_CHOICES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; choose one of "
-            + ", ".join(ENGINE_CHOICES)
-        )
-    if engine == "auto":
-        return "vectorized" if numpy_available() else "scalar"
-    if engine in ("vectorized", "batched") and not numpy_available():
-        raise ConfigError(NUMPY_MISSING_MSG)
-    return engine
-
-
-def kit_for(engine: Optional[str]) -> EngineKit:
-    """The :class:`EngineKit` for an engine knob (resolving ``auto``)."""
-    return _KITS[resolve_engine(engine)]
+def kit_for(engine=None):
+    """The engine description; ``engine`` is ignored."""
+    return _KIT

@@ -8,9 +8,11 @@ report::
     python -m repro profile hashmap --sort tottime --top 10
     python -m repro profile fig2 --points 2
 
-The report has two sections: the five simulator phases (exclusive time —
-see :mod:`repro.perf.phases`) and the top functions by cumulative or
-total time.  ``--json`` emits the same data machine-readably on stdout.
+The report has three sections: the simulator phases (exclusive time —
+see :mod:`repro.perf.phases`), the top functions by cumulative or total
+time, and the epoch dispatcher's counters (fused epochs, mean width, and
+why the rest fell back to the per-op walk).  ``--json`` emits the same data
+machine-readably on stdout.
 
 Profiled runs are slower than plain runs (tracing overhead); use
 ``python -m repro bench`` for honest wall-clock numbers.
@@ -19,7 +21,6 @@ Profiled runs are slower than plain runs (tracing overhead); use
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -27,9 +28,8 @@ from typing import List, Optional, Tuple
 from ..harness.config import ExperimentSpec, consolidated
 from ..harness.figures import FIGURE_GRIDS
 from ..harness.report import format_table
-from ..harness.runner import epoch_summary, run_experiment
+from ..harness.runner import run_experiment
 from ..harness.timer import Stopwatch
-from ..kernels import ENGINE_CHOICES, resolve_engine
 from ..params import HTMConfig
 from ..workloads import WORKLOADS, WorkloadParams
 from .phases import PHASES, PhaseTimers
@@ -81,7 +81,6 @@ def build_report(
     scale: float = PROFILE_SCALE,
     seed: int = 2020,
     points: int = 0,
-    engine: Optional[str] = None,
 ) -> dict:
     """Profile ``target`` and return the hot-spot report as plain data."""
     if target in FIGURE_GRIDS:
@@ -96,16 +95,8 @@ def build_report(
             f"unknown profile target {target!r}; choose from: "
             + ", ".join(choices)
         )
-    # Resolve once (like bench does) so the report names the engine actually
-    # profiled, and pin every point's spec to it.
-    resolved = resolve_engine(engine)
-    runs = [
-        (dataclasses.replace(spec, engine=resolved), label)
-        for spec, label in runs
-    ]
-
-    # Under the batched engine the run also reports its epoch counters:
-    # how many blocks flushed fused, how wide, and why the rest fenced.
+    # Every run also reports its epoch counters: how many blocks flushed
+    # fused, how wide, and why the rest fenced.
     systems: List[object] = []
 
     def run_one(spec: ExperimentSpec, label: Optional[str]):
@@ -119,14 +110,13 @@ def build_report(
             sort=sort,
             top=top,
         )
-    epochs = [s for s in (epoch_summary(system) for system in systems) if s]
+    epochs = [system.epoch_stats.as_dict() for system in systems]
     return {
         "target": target,
         "kind": kind,
         "points": len(runs),
         "scale": scale,
         "seed": seed,
-        "engine": resolved,
         "sort": sort,
         "top": top,
         "wall_s": round(stopwatch.elapsed_s, 3),
@@ -136,10 +126,8 @@ def build_report(
     }
 
 
-def _merge_epochs(summaries: List[dict]) -> Optional[dict]:
+def _merge_epochs(summaries: List[dict]) -> dict:
     """Fold per-point epoch counters into one figure-level summary."""
-    if not summaries:
-        return None
     epochs = sum(s["epochs"] for s in summaries)
     batched = sum(s["batched_ops"] for s in summaries)
     scalar = sum(s["scalar_ops"] for s in summaries)
@@ -194,15 +182,14 @@ def _print_report(report: dict) -> None:
             title=f"top {report['top']} by {report['sort']}",
         )
     )
-    epoch = report.get("epoch_stats")
-    if epoch is not None:
-        print()
-        print(
-            f"epoch dispatch ({report['engine']}): {epoch['epochs']} epochs, "
-            f"mean width {epoch['mean_batch_width']:.1f}, "
-            f"{epoch['scalar_fallback_ratio']:.1%} scalar fallback"
-            + (f", fences {epoch['fences']}" if epoch["fences"] else "")
-        )
+    epoch = report["epoch_stats"]
+    print()
+    print(
+        f"epoch dispatch: {epoch['epochs']} epochs, "
+        f"mean width {epoch['mean_batch_width']:.1f}, "
+        f"{epoch['scalar_fallback_ratio']:.1%} per-op fallback"
+        + (f", fences {epoch['fences']}" if epoch["fences"] else "")
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -255,13 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="profile only the first N grid points (0 = whole grid)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        help="sim-kernel engine to profile under (default: the process "
-        "default — $REPRO_ENGINE or scalar); batched runs also report "
-        "their epoch-dispatch counters",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -272,7 +252,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             scale=args.scale,
             seed=args.seed,
             points=args.points,
-            engine=args.engine,
         )
     except ValueError as exc:
         parser.error(str(exc))

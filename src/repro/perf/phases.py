@@ -1,20 +1,20 @@
 """Manual phase timers over the simulator's hot entry points.
 
 The profiler's function-level view is precise but scattered; performance
-discussions about the simulator happen in terms of five *phases*:
+discussions about the simulator happen in terms of six *phases*:
 
 * ``access`` — the cache hierarchy servicing loads and stores,
 * ``signature`` — Bloom-signature probes for off-chip conflict checks,
 * ``coherence`` — directory lookups and transactional bookkeeping,
 * ``commit`` — the commit path (log sealing, write-set publication),
 * ``stats`` — counter and histogram bookkeeping,
-* ``epoch`` — the batched engine's fused block flushes (zero under the
-  scalar and vectorized engines, which have no epoch dispatcher).
+* ``epoch`` — the epoch dispatcher's fused block flushes.
 
-Under ``engine="batched"`` whole blocks run inside the epoch dispatcher's
-fused loops, so the cache walk that would have been ``access`` time is
-attributed to ``epoch`` instead; the staging calls the fused loops still
-make (directory checks, signature probes, counter flushes) keep landing in
+Whole blocks run inside the epoch dispatcher's fused loops, so the cache
+walk of a fused block is attributed to ``epoch`` rather than ``access``;
+word operations, and blocks the dependency fence sends down the per-op
+walk, still land in ``access``.  The staging calls the fused loops make
+(directory checks, signature probes, counter flushes) keep landing in
 their own phases because attribution is exclusive.
 
 :class:`PhaseTimers` patches the phase entry points at *class* level
@@ -73,7 +73,7 @@ class PhaseTimers:
         self._wrap(StatsRegistry, "incr", "stats")
         self._wrap(StatsRegistry, "record", "stats")
         self._wrap(Histogram, "record", "stats")
-        # The batched engine's epoch flushes: whole blocks run inside these
+        # The epoch flushes: whole blocks run inside these
         # three fused entry points, whose inlined cache walk would otherwise
         # vanish from the phase totals.  Nested staging calls (directory,
         # signatures, stats) subtract out via the exclusive-time stack.

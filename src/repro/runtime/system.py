@@ -22,13 +22,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cache.hierarchy import CacheHierarchy
+from ..htm.batch import BatchDispatcher
 from ..htm.designs import build_htm
 from ..htm.fallback import FallbackLockTable
 from ..htm.recovery import CrashController, CrashReport, RecoveryReport
-from ..kernels import kit_for
 from ..mem.controller import MemoryController
 from ..params import HTMConfig, MachineConfig
-from ..sim.engine import Engine, EpochEngine
+from ..sim.engine import Engine, EpochStats
 from ..sim.rng import RngStreams
 from ..sim.stats import StatsRegistry
 from ..sim.trace import TraceRecorder
@@ -40,6 +40,10 @@ from .process import SimProcess
 class System:
     """A fully assembled machine: cores, caches, memories, HTM, and runtime."""
 
+    #: Name of the execution engine (fused epochs with a per-op fence
+    #: fallback), recorded in benchmark contexts.
+    engine_name = "batched"
+
     def __init__(
         self,
         machine: Optional[MachineConfig] = None,
@@ -47,40 +51,25 @@ class System:
         seed: int = 2020,
         trace: bool = False,
         capture_trace: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         self.machine = machine or MachineConfig.scaled(1 / 16)
         self.htm_config = htm_config or HTMConfig()
-        # Sim-kernel engine ("scalar"/"vectorized"/"auto"/None=process
-        # default): one kit of kernel classes injected everywhere, so the
-        # layers below never import repro.kernels themselves.  Note
-        # ``self.engine`` is the *event* engine; the kernel knob lives in
-        # ``engine_name`` / ``kernel_kit``.
-        self.kernel_kit = kit_for(engine)
-        self.engine_name = self.kernel_kit.name
-        self.stats = StatsRegistry(
-            histogram_cls=self.kernel_kit.histogram_cls
-        )
+        self.stats = StatsRegistry()
         self.rng = RngStreams(seed)
         self.trace = TraceRecorder(enabled=trace)
-        # The batched kit swaps in the epoch-aware event engine; scheduling
-        # is inherited unchanged, it only adds the EpochStats surface the
-        # block dispatcher reports into.
-        self.engine = EpochEngine() if self.kernel_kit.batched else Engine()
+        self.engine = Engine()
         self.controller = MemoryController(
             self.machine.memory, self.machine.latency
         )
-        self.hierarchy = CacheHierarchy(
-            self.machine, self.controller, kit=self.kernel_kit
-        )
+        self.hierarchy = CacheHierarchy(self.machine, self.controller)
         self.htm = build_htm(
             self.machine, self.htm_config, self.controller, self.hierarchy,
-            self.stats, kit=self.kernel_kit,
+            self.stats,
         )
-        if self.kernel_kit.batched:
-            from ..htm.batch import BatchDispatcher
-
-            self.htm.batch = BatchDispatcher(self.htm, self.engine.epoch_stats)
+        # Block operations flush through fused epochs; the dispatcher's
+        # dependency fence drops a block to the per-op walk whenever its
+        # ordering could be observed.
+        self.htm.batch = BatchDispatcher(self.htm, self.engine.epoch_stats)
         self.heap = TxHeap(self.controller)
         if capture_trace:
             space = self.controller.address_space
@@ -118,14 +107,14 @@ class System:
         return self.engine.now()
 
     @property
-    def epoch_stats(self):
-        """The :class:`~repro.sim.engine.EpochStats` surface, or ``None``.
+    def epoch_stats(self) -> EpochStats:
+        """The epoch dispatcher's counters (fused epochs, fences).
 
-        Populated only under ``engine="batched"``; diagnostic-only — epoch
-        counters never enter :class:`~repro.harness.metrics.RunResult` or
-        any export, which is part of the bit-identity contract.
+        Diagnostic only: epoch counters never enter
+        :class:`~repro.harness.metrics.RunResult` or any export, so results
+        do not depend on how many blocks fused.
         """
-        return getattr(self.engine, "epoch_stats", None)
+        return self.engine.epoch_stats
 
     def throughput_ops_per_ms(self) -> float:
         """Committed operations per simulated millisecond."""

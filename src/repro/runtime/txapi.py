@@ -98,23 +98,16 @@ class TxContext(MemoryContext):
     def write_word(self, addr: int, value: int) -> None:
         self._htm.tx_write(self._handle, addr, value)
 
-    # Block operations route through the epoch dispatcher when one is
-    # installed (engine="batched"): a whole block issued at one scheduler
-    # step is an epoch, flushed through fused loops that are bit-identical
-    # to the scalar per-word walk.  Word operations above never batch.
+    # Block operations route through the epoch dispatcher: a whole block
+    # issued at one scheduler step is an epoch, flushed through fused loops
+    # that are bit-identical to the per-word walk (which the dispatcher's
+    # fence falls back to).  Word operations above never batch.
 
     def read_block(self, addr: int, nbytes: int) -> int:
-        batch = self._htm.batch
-        if batch is not None:
-            return batch.tx_read_block(self._handle, addr, nbytes)
-        return MemoryContext.read_block(self, addr, nbytes)
+        return self._htm.batch.tx_read_block(self._handle, addr, nbytes)
 
     def write_block(self, addr: int, nbytes: int, tag: int) -> None:
-        batch = self._htm.batch
-        if batch is not None:
-            batch.tx_write_block(self._handle, addr, nbytes, tag)
-            return
-        MemoryContext.write_block(self, addr, nbytes, tag)
+        self._htm.batch.tx_write_block(self._handle, addr, nbytes, tag)
 
     def abort(self) -> None:
         """Explicitly abort (``_xabort()``)."""
@@ -156,21 +149,11 @@ class DirectContext(MemoryContext):
 
         Exactly equivalent to ``write_word(a, read_word(a) + delta)`` per
         address; the co-runner sweep loops issue it so the epoch dispatcher
-        can fuse the whole chunk under ``engine="batched"``.
+        can fuse the whole chunk.
         """
-        batch = self._htm.batch
-        if batch is not None:
-            batch.nontx_rmw_block(
-                self._thread, self._core_id, self._domain_id, addrs, delta
-            )
-            return
-        nontx = self._htm.nontx_access
-        thread = self._thread
-        core_id = self._core_id
-        domain_id = self._domain_id
-        for addr in addrs:
-            value = nontx(thread, core_id, domain_id, addr, False)
-            nontx(thread, core_id, domain_id, addr, True, value=value + delta)
+        self._htm.batch.nontx_rmw_block(
+            self._thread, self._core_id, self._domain_id, addrs, delta
+        )
 
 
 class SlowPathContext(MemoryContext):

@@ -25,23 +25,16 @@ class SignaturePair:
         config: SignatureConfig,
         scale: float = 1.0,
         family: Optional[HashFamily] = None,
-        kit=None,
     ) -> None:
         # Families are shared per (functions, buckets, seed): one transaction
         # begins per retry attempt, and re-deriving multipliers (plus a cold
         # hash memo) each time was a measurable share of the begin path.
-        #
-        # ``kit`` is a duck-typed engine kit (see :mod:`repro.kernels`)
-        # selecting the filter implementation classes; None keeps the scalar
-        # classes so this layer never imports the kernels package.
-        flat_cls = BloomFilter if kit is None else kit.bloom_cls
-        banked_cls = BankedBloomFilter if kit is None else kit.banked_bloom_cls
         bits = config.effective_bits(scale)
         if config.banked:
             bits -= bits % config.hash_functions or 0
             bits = max(config.hash_functions, bits)
             bank_bits = bits // config.hash_functions
-            self.read_filter = banked_cls(
+            self.read_filter = BankedBloomFilter(
                 bits,
                 config.hash_functions,
                 family
@@ -49,7 +42,7 @@ class SignaturePair:
                     config.hash_functions, bank_bits, seed=0x5EED
                 ),
             )
-            self.write_filter = banked_cls(
+            self.write_filter = BankedBloomFilter(
                 bits,
                 config.hash_functions,
                 family
@@ -67,10 +60,10 @@ class SignaturePair:
                 write_family = shared_multiplicative(
                     config.hash_functions, bits, seed=0xC0FFEE
                 )
-            self.read_filter = flat_cls(
+            self.read_filter = BloomFilter(
                 bits, config.hash_functions, read_family
             )
-            self.write_filter = flat_cls(
+            self.write_filter = BloomFilter(
                 bits, config.hash_functions, write_family
             )
         #: Ground-truth shadow sets (accounting / Ideal design only).

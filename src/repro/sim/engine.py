@@ -86,6 +86,9 @@ class Engine:
         #: Optional event tracer (see :mod:`repro.obs`): scheduling events
         #: (block/wake/done) are emitted when attached, else zero cost.
         self.tracer = None
+        #: Counters the epoch dispatcher (:mod:`repro.htm.batch`) reports
+        #: into; diagnostic only, never part of a run's results.
+        self.epoch_stats = EpochStats()
 
     @property
     def threads(self) -> List[SimThread]:
@@ -237,18 +240,18 @@ class Engine:
 
 
 class EpochStats:
-    """Counters for the epoch-batched execution core (``engine="batched"``).
+    """Counters for the epoch dispatcher's fused block paths.
 
     An *epoch* is one fused block dispatch: the set of memory operations a
     thread issues at a single scheduler step (one generator resumption) that
     the :class:`repro.htm.batch.BatchDispatcher` proved free of ordering
-    hazards and flushed through the fused kernels in one call.  Epochs never
-    span scheduler steps, which is why batched interleaving is identical to
-    scalar interleaving by construction — the min-clock run loop above is
-    shared verbatim.
+    hazards and flushed through the fused loops in one call.  Epochs never
+    span scheduler steps, which is why fused interleaving is identical to
+    per-op interleaving by construction: the min-clock run loop of
+    :class:`Engine` is the same for both.
 
     ``scalar_ops`` counts operations the dependency fence forced back onto
-    the scalar single-step path; ``fences`` records why, keyed by reason
+    the per-op path; ``fences`` records why, keyed by reason
     (``"tracer"``, ``"capture"``, ``"fault"``, ``"bandwidth"``,
     ``"narrow"``, ``"conflict"``, ...).
     """
@@ -269,7 +272,7 @@ class EpochStats:
         self.batched_ops += width
 
     def note_scalar(self, width: int, reason: str) -> None:
-        """``width`` operations fell back to scalar single-step dispatch."""
+        """``width`` operations fell back to per-op dispatch."""
         self.scalar_ops += width
         fences = self.fences
         fences[reason] = fences.get(reason, 0) + 1
@@ -301,22 +304,6 @@ class EpochStats:
             f"width={self.mean_batch_width:.1f}, "
             f"fallback={self.scalar_fallback_ratio:.1%})"
         )
-
-
-class EpochEngine(Engine):
-    """The event engine under ``engine="batched"``.
-
-    Scheduling is inherited from :class:`Engine` unchanged: epochs are
-    formed *within* a thread step (see :class:`EpochStats`), so the popped
-    thread order, clock arithmetic, and fault/tracer hook sites are the
-    scalar engine's own code — not a reimplementation that could drift.
-    The subclass only adds the epoch counter surface the dispatcher reports
-    into.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.epoch_stats = EpochStats()
 
 
 def run_threads(bodies: Iterable[Callable[[SimThread], ThreadBody]]) -> Engine:

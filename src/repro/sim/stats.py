@@ -20,15 +20,12 @@ class StatsRegistry:
     bump is one dict add with no attribute traversal.
     """
 
-    __slots__ = ("_counters", "_samples", "_histograms", "_histogram_cls")
+    __slots__ = ("_counters", "_samples", "_histograms")
 
-    def __init__(self, histogram_cls: type = None) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
         self._samples: Dict[str, List[float]] = defaultdict(list)
         self._histograms: Dict[str, "Histogram"] = {}
-        # Injected histogram implementation (the engine kit's class when a
-        # vectorized run builds the registry); defaults to Histogram.
-        self._histogram_cls = histogram_cls or Histogram
 
     # -- counters ----------------------------------------------------------
 
@@ -64,7 +61,7 @@ class StatsRegistry:
     def histogram(self, name: str, factory: type = None) -> "Histogram":
         """The histogram for ``name``, creating it on first use.
 
-        ``factory`` overrides the registry's injected histogram class for
+        ``factory`` overrides the default :class:`Histogram` class for
         this one histogram (e.g. :class:`ReservoirHistogram` for the
         traffic latency series, whose tail percentiles must be exact).  It
         only matters at creation time; later lookups return whatever was
@@ -72,7 +69,7 @@ class StatsRegistry:
         """
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = (factory or self._histogram_cls)()
+            histogram = (factory or Histogram)()
             self._histograms[name] = histogram
         return histogram
 

@@ -124,37 +124,21 @@ class TestMeta:
 
 
 def _set_index(array, line_addr):
-    """Engine-agnostic set index (the scalar array inlines the computation)."""
-    if hasattr(array, "_set_index"):
-        return array._set_index(line_addr)
+    """The set a line maps to (the array inlines the computation)."""
     bucket = array._set_of(line_addr)
     return next(i for i, s in enumerate(array._sets) if s is bucket)
-
-
-def _engine_arrays():
-    """Array classes under test: scalar always, vectorized when available."""
-    classes = [SetAssociativeArray]
-    try:
-        from repro.kernels.setassoc import VectorSetAssociativeArray
-    except Exception:
-        return classes
-    from repro.kernels._np import numpy_available
-
-    if numpy_available():
-        classes.append(VectorSetAssociativeArray)
-    return classes
 
 
 class TestSetIndexGeometry:
     """Regression pin for the ``_set_mask`` bug class.
 
     For non-power-of-two set counts a mask of ``num_sets - 1`` is wrong:
-    with 6 sets, line 6 maps to set 0 by modulo but ``6 & 5 == 4``.  Both
-    engines must use the mask only when ``num_sets`` is a power of two and
+    with 6 sets, line 6 maps to set 0 by modulo but ``6 & 5 == 4``.  The
+    array must use the mask only when ``num_sets`` is a power of two and
     fall back to true modulo otherwise.
     """
 
-    @pytest.mark.parametrize("array_cls", _engine_arrays())
+    @pytest.mark.parametrize("array_cls", [SetAssociativeArray])
     @pytest.mark.parametrize("num_sets", [3, 5, 6, 7, 12])
     def test_non_power_of_two_uses_modulo(self, array_cls, num_sets):
         geometry = CacheGeometry(
@@ -165,7 +149,7 @@ class TestSetIndexGeometry:
         for line in range(4 * num_sets):
             assert _set_index(array, line * LINE_SIZE) == line % num_sets
 
-    @pytest.mark.parametrize("array_cls", _engine_arrays())
+    @pytest.mark.parametrize("array_cls", [SetAssociativeArray])
     @pytest.mark.parametrize("num_sets", [1, 2, 4, 8, 64])
     def test_power_of_two_mask_equals_modulo(self, array_cls, num_sets):
         geometry = CacheGeometry(
@@ -176,7 +160,7 @@ class TestSetIndexGeometry:
         for line in range(4 * num_sets + 3):
             assert _set_index(array, line * LINE_SIZE) == line % num_sets
 
-    @pytest.mark.parametrize("array_cls", _engine_arrays())
+    @pytest.mark.parametrize("array_cls", [SetAssociativeArray])
     def test_mask_bug_would_alias_lines(self, array_cls):
         # The exact collision the mask bug would produce: with 6 sets,
         # lines 6 and 4 share set 4 under ``& 5`` but not under ``% 6``.

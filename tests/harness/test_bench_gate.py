@@ -11,7 +11,6 @@ from repro.harness.bench import (
     ABS_SLACK_S,
     MIN_COMPARABLE_S,
     SMOKE_SCALE,
-    artifact_engine,
     comparable_points,
     compare_to_baseline,
     _load_baseline,
@@ -112,12 +111,6 @@ class TestComparablePoints:
         baseline = _artifact([_point("a", ["x"], 1.0, cached=True)])
         current = _artifact([_point("a", ["x"], 2.0)])
         assert comparable_points(current, baseline) == []
-
-    def test_missing_engine_means_scalar(self):
-        # Pre-engine artifacts were all scalar measurements; the gate
-        # assumes that (with a CLI warning) instead of refusing to compare.
-        assert artifact_engine({"figure": "fig7"}) == "scalar"
-        assert artifact_engine({"engine": "vectorized"}) == "vectorized"
 
 
 class TestLoadBaseline:
@@ -227,33 +220,6 @@ class TestBenchCliGate:
         )
         assert rc == 0
         assert "not gated" in capsys.readouterr().out
-
-    def test_engineless_baseline_warns_and_still_gates(
-        self, smoke_artifact, tmp_path, capsys
-    ):
-        # A baseline written before artifacts were engine-stamped compares
-        # as scalar — with a warning — rather than silently or fatally.
-        baseline = json.loads(json.dumps(smoke_artifact))
-        del baseline["engine"]
-        for point in baseline["points"]:
-            point["elapsed_s"] = point["elapsed_s"] * 100 + 10.0
-        baseline_path = tmp_path / "BENCH_fig2.json"
-        baseline_path.write_text(json.dumps(baseline), encoding="utf-8")
-        rc = bench.main(
-            [
-                "fig2",
-                "-m",
-                "smoke",
-                "--compare",
-                str(baseline_path),
-                "--out-dir",
-                str(tmp_path / "out"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "no engine field; assuming 'scalar'" in out
-        assert "perf gate passed" in out
 
     def test_vacuous_gate_fails(self, smoke_artifact, tmp_path, capsys):
         # A baseline whose labels match nothing pairs zero points; the

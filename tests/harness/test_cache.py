@@ -149,16 +149,19 @@ class TestResultCache:
         assert path == tmp_path / fingerprint[:2] / f"{fingerprint}.json"
         assert path.is_file()
 
-    def test_all_engines_share_one_entry(self, tmp_path):
-        """A result computed under any engine serves every other engine.
+    def test_fingerprint_pinned_across_the_engine_field_removal(self):
+        """Existing caches and serve spools stay valid without a version bump.
 
-        Engines are proven bit-identical, so the fingerprint excludes the
-        knob: a grid seeded under scalar warms the cache for batched and
-        vectorized runs (and vice versa) instead of tripling the store.
+        ``ExperimentSpec`` used to carry an ``engine`` field that the
+        fingerprint dropped before hashing.  This literal is the fingerprint
+        of the first fig2 smoke point as computed while that field existed;
+        removing the field must not move it.
         """
-        cache = ResultCache(tmp_path)
-        cache.put(small_spec(engine="scalar"), sample_result())
-        for engine in ("scalar", "vectorized", "batched", "auto", None):
-            assert cache.get(small_spec(engine=engine)) == sample_result()
-        assert cache.stats.hits == 5
-        assert cache.stats.misses == 0
+        from repro.harness.bench import SMOKE_SCALE
+        from repro.harness.figures import FIGURE_GRIDS
+
+        point = FIGURE_GRIDS["fig2"](quick=True, scale=SMOKE_SCALE, seed=2020)[0]
+        assert point.key == ("hashmap", "LLC-Bounded")
+        assert spec_fingerprint(point.spec) == (
+            "ba280302ce761d8c11d043e1402ca7b4ce363909648292f6f64383ba606a955a"
+        )

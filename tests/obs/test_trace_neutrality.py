@@ -65,37 +65,38 @@ class TestTraceGridParallel:
             assert a.dropped == b.dropped
 
 
-class TestTraceNeutralityPerEngine:
-    """The tracer sees the same simulation whichever kernel engine runs it.
+class TestTraceNeutralityPerDispatchPath:
+    """The tracer fences every block onto the per-op walk.
 
-    Scalar and vectorized engines are bit-identical by contract, so the
-    traced event stream — not just the metrics — must match across engines
-    too.  This extends the neutrality proof from "tracing doesn't change
-    the run" to "tracing can't even tell the engines apart".
+    Per-op events must interleave exactly as the per-op walk emits them, so
+    a traced run must never fuse a block.  Forcing the per-op walk through
+    the dispatcher's fence must therefore leave the traced event stream and
+    metrics unchanged; a block that slipped past the tracer fence would show
+    up as missing events.
     """
 
-    def _trace(self, spec, engine):
-        import dataclasses
+    def _trace_both(self, spec, monkeypatch):
+        from repro.htm.batch import BatchDispatcher
 
-        return trace_experiment(dataclasses.replace(spec, engine=engine))
+        default = trace_experiment(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchDispatcher, "_fence_reason", lambda self: "oracle")
+            per_op = trace_experiment(spec)
+        return default, per_op
 
-    def test_events_and_metrics_identical_across_engines(self, tiny_spec):
-        import pytest
-
-        pytest.importorskip("numpy")
-        scalar = self._trace(tiny_spec, "scalar")
-        vectorized = self._trace(tiny_spec, "vectorized")
-        assert run_result_to_dict(scalar.result) == run_result_to_dict(
-            vectorized.result
+    def test_events_and_metrics_identical_to_per_op(
+        self, tiny_spec, monkeypatch
+    ):
+        default, per_op = self._trace_both(tiny_spec, monkeypatch)
+        assert run_result_to_dict(default.result) == run_result_to_dict(
+            per_op.result
         )
-        assert scalar.events == vectorized.events
-        assert scalar.dropped == vectorized.dropped
+        assert default.events == per_op.events
+        assert default.dropped == per_op.dropped
 
-    def test_contended_events_identical_across_engines(self, contended_spec):
-        import pytest
-
-        pytest.importorskip("numpy")
-        scalar = self._trace(contended_spec, "scalar")
-        vectorized = self._trace(contended_spec, "vectorized")
-        assert scalar.result.aborts > 0, "spec not contended enough to test"
-        assert scalar.events == vectorized.events
+    def test_contended_events_identical_to_per_op(
+        self, contended_spec, monkeypatch
+    ):
+        default, per_op = self._trace_both(contended_spec, monkeypatch)
+        assert default.result.aborts > 0, "spec not contended enough to test"
+        assert default.events == per_op.events

@@ -122,23 +122,11 @@ class TestAccounting:
         with timers:
             result = run_experiment(spec)
         assert result.commits > 0
-        from repro.kernels import resolve_engine
-
-        # The epoch phase only fires when blocks route through the batched
-        # dispatcher — zero by design under the scalar/vectorized engines.
-        expected = set(PHASES)
-        if resolve_engine(None) != "batched":
-            expected.discard("epoch")
-        for phase in expected:
+        for phase in PHASES:
             assert timers.calls[phase] > 0, f"phase {phase!r} never fired"
         assert timers.total_s() > 0.0
 
     def test_epoch_phase_fires_under_batched(self):
-        import pytest
-
-        pytest.importorskip("numpy")
-        import dataclasses
-
         from repro.harness.config import ExperimentSpec, consolidated
         from repro.harness.runner import run_experiment
         from repro.params import HTMConfig
@@ -163,6 +151,6 @@ class TestAccounting:
         )
         timers = PhaseTimers()
         with timers:
-            run_experiment(dataclasses.replace(spec, engine="batched"))
+            run_experiment(spec)
         assert timers.calls["epoch"] > 0
         assert timers.exclusive_s["epoch"] > 0.0

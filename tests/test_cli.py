@@ -34,25 +34,3 @@ class TestCli:
         assert main(["abort_claim", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "signature_only" in out
-
-    def test_engine_prefix_dispatches_to_subcommand(self, capsys, monkeypatch):
-        # `--engine X <subcommand> ...` sets the process default, then
-        # dispatches — how the CI engine matrix drives the tool smokes.
-        # setenv (not delenv) so monkeypatch restores the key at teardown
-        # even though main() writes os.environ directly.
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert (
-            main(
-                ["--engine", "scalar", "faults", "--workload", "hashmap",
-                 "--crashes", "2", "--seed", "1"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "engine: scalar" in out
-        assert "recoveries verified" in out
-
-    def test_engine_prefix_rejects_unknown_engine(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert main(["--engine", "turbo", "faults", "--workload", "x"]) == 2
-        assert "unknown engine" in capsys.readouterr().err
