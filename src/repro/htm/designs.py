@@ -10,7 +10,6 @@ from ..mem.controller import MemoryController
 from ..params import HTMConfig, HTMDesign, MachineConfig
 from ..sim.stats import StatsRegistry
 from ..signatures.addresssig import SignaturePair
-from ..signatures.bloom import BloomFilter
 from .base import HTMSystem, TxHandle
 
 
@@ -240,17 +239,18 @@ def _signature_hits(
 
     The probe hashes the line once per hash *family*, not once per filter:
     all of a run's signatures share their families (see
-    ``shared_multiplicative``), so the write-key and read-key are computed
-    for the first populated signature and every subsequent filter test is a
-    single AND-compare against the cached key.  A family-identity check
-    guards the cache, so heterogeneous signatures still probe correctly.
+    ``shared_multiplicative``), so the write key and read key are computed
+    for the first populated signature and every later filter test reads at
+    most ``k`` bytes of that filter's array.  A family-identity check guards
+    the cached keys, so signatures with different families still probe
+    correctly.  A family also fixes the filter kind, flat or banked, because
+    every signature of one system is built from its one ``SignatureConfig``.
     """
     hits: List[Tuple[int, bool]] = []
     checks = 0
     tracer = system.tracer
     wfam = rfam = None
-    wkey = rkey = None
-    flat = False
+    wkey = rkey = ()
     for tx_id, signature in system.domains.members(domain_id).items():
         if tx_id == exclude_tx or (
             not signature.exact_read and not signature.exact_write
@@ -259,40 +259,29 @@ def _signature_hits(
             # hardware comparators short out, and so do we (hot path).
             continue
         checks += 1
+        # The byte tests are inlined rather than calling ``contains_key``:
+        # a method call per member is measurable at this call frequency.
         write_filter = signature.write_filter
-        # Direct slot access: the `family` property's descriptor call is
-        # measurable at this call frequency.
-        family = write_filter._family
-        if family is not wfam:
-            wfam = family
-            flat = type(write_filter) is BloomFilter
-            wkey = (
-                family.or_mask(line_addr)
-                if flat
-                else write_filter.probe_key(line_addr)
-            )
-        if flat:
-            # Flat filters are single big-ints; test them inline rather
-            # than paying a method call per member (the dominant case).
-            conflicts = write_filter._array & wkey == wkey
-            if not conflicts and is_write:
-                read_filter = signature.read_filter
-                family = read_filter._family
-                if family is not rfam:
-                    rfam = family
-                    rkey = family.or_mask(line_addr)
-                conflicts = read_filter._array & rkey == rkey
-        elif write_filter.contains_key(wkey):
-            conflicts = True
-        elif is_write:
+        if write_filter.family is not wfam:
+            wfam = write_filter.family
+            wkey = write_filter.probe_key(line_addr)
+        array = write_filter.array
+        conflicts = True
+        for index in wkey:
+            if not array[index]:
+                conflicts = False
+                break
+        if not conflicts and is_write:
             read_filter = signature.read_filter
-            family = read_filter._family
-            if family is not rfam:
-                rfam = family
+            if read_filter.family is not rfam:
+                rfam = read_filter.family
                 rkey = read_filter.probe_key(line_addr)
-            conflicts = read_filter.contains_key(rkey)
-        else:
-            conflicts = False
+            array = read_filter.array
+            conflicts = True
+            for index in rkey:
+                if not array[index]:
+                    conflicts = False
+                    break
         if conflicts:
             truly = signature.truly_conflicts_with_access(line_addr, is_write)
             hits.append((tx_id, truly))

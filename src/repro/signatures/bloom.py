@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from operator import add
+from typing import Iterable, Optional, Tuple
 
 from .hashing import HashFamily, MultiplicativeHashFamily
 
 
 class BloomFilter:
-    """A fixed-width Bloom filter backed by a Python big-int bit array.
+    """A fixed-width Bloom filter backed by a byte array, one byte per bit.
 
-    Big-int bit operations keep membership tests cheap, which matters
-    because signature checks sit on the simulator's hottest path (every LLC
-    miss in UHTM; every access in signature-only designs).  Both insert and
-    probe go through the hash family's memoised per-value OR-mask, so a warm
-    operation is a single big-int OR (insert) or AND-compare (probe) instead
-    of ``k`` hash computations and shifts.
+    Signature checks sit on the simulator's hottest path (every LLC miss in
+    UHTM; every access in signature-only designs).  Insert and probe both
+    go through the hash family's memoised per-value index tuple, so a warm
+    insert sets ``k`` bytes and a warm probe tests at most ``k`` bytes,
+    stopping at the first clear one.  A 4096-bit filter costs 4 KB per
+    instance; only the per-value index tuples are shared and memoised.
     """
 
     def __init__(
@@ -28,10 +29,11 @@ class BloomFilter:
         if bits < 1:
             raise ValueError("filter must have at least one bit")
         self.bits = bits
-        self._family = family or MultiplicativeHashFamily(hash_functions, bits)
-        if self._family.buckets != bits:
+        self.family = family or MultiplicativeHashFamily(hash_functions, bits)
+        if self.family.buckets != bits:
             raise ValueError("hash family buckets must equal filter bits")
-        self._array = 0
+        #: One byte per bit, 0 or 1.  Callers may read it, never write it.
+        self.array = bytearray(bits)
         self._inserted = 0
 
     @property
@@ -42,15 +44,17 @@ class BloomFilter:
     @property
     def popcount(self) -> int:
         """Number of set bits (occupancy)."""
-        return self._array.bit_count()
+        return self.array.count(1)
 
     @property
     def saturation(self) -> float:
         """Fraction of bits set, in [0, 1]."""
-        return self.popcount / self.bits
+        return self.popcount / len(self.array)
 
     def insert(self, value: int) -> None:
-        self._array |= self._family.or_mask(value)
+        array = self.array
+        for index in self.probe_key(value):
+            array[index] = 1
         self._inserted += 1
 
     def insert_all(self, values: Iterable[int]) -> None:
@@ -59,36 +63,34 @@ class BloomFilter:
             insert(value)
 
     def maybe_contains(self, value: int) -> bool:
-        mask = self._family.or_mask(value)
-        return self._array & mask == mask
+        return self.contains_key(self.probe_key(value))
 
     # -- key-based probing --------------------------------------------------
     #
     # When one value is probed against *many* filters sharing a hash family
     # (the off-chip conflict sweep checks every active transaction in a
     # domain), the hash work can be done once and the per-filter test
-    # reduced to a single AND-compare.  ``probe_key`` computes the reusable
-    # key; ``contains_key`` applies it.  The ``family`` property lets the
-    # caller verify key compatibility by identity.
+    # reduced to ``k`` byte reads.  ``probe_key`` computes the reusable key
+    # (the byte offsets to test); ``contains_key`` applies it.
 
-    @property
-    def family(self) -> HashFamily:
-        return self._family
+    def probe_key(self, value: int) -> Tuple[int, ...]:
+        """The byte offsets in :attr:`array` that ``value`` maps to."""
+        return self.family.indices_for(value)
 
-    def probe_key(self, value: int) -> int:
-        """The reusable probe token for ``value`` under this filter's family."""
-        return self._family.or_mask(value)
-
-    def contains_key(self, key: int) -> bool:
+    def contains_key(self, key: Tuple[int, ...]) -> bool:
         """Membership test with a precomputed :meth:`probe_key` token."""
-        return self._array & key == key
+        array = self.array
+        for index in key:
+            if not array[index]:
+                return False
+        return True
 
     def clear(self) -> None:
-        self._array = 0
+        self.array = bytearray(len(self.array))
         self._inserted = 0
 
     def is_empty(self) -> bool:
-        return self._array == 0
+        return 1 not in self.array
 
     def expected_false_positive_rate(self) -> float:
         """The analytic ``(1 - e^{-kn/m})^k`` estimate from insert count.
@@ -97,11 +99,14 @@ class BloomFilter:
         hash-function count — the textbook prediction of what the filter's
         false-positive rate *should* be after ``n`` random insertions.
         Compare with :meth:`observed_false_positive_rate`, which reads the
-        actual bit array.
+        actual bit array.  A banked filter has the same asymptotic form:
+        each of its ``k`` banks of ``m/k`` bits sees one hash per insert, so
+        a bank bit stays clear with probability ``(1 - k/m)^n`` (banking
+        costs only a lower-order term).
         """
         if self._inserted == 0:
             return 0.0
-        k = self._family.functions
+        k = self.family.functions
         return (1.0 - math.exp(-k * self._inserted / self.bits)) ** k
 
     def observed_false_positive_rate(self) -> float:
@@ -114,11 +119,11 @@ class BloomFilter:
         """
         if self._inserted == 0:
             return 0.0
-        k = self._family.functions
+        k = self.family.functions
         return self.saturation**k
 
 
-class BankedBloomFilter:
+class BankedBloomFilter(BloomFilter):
     """A partitioned (banked) Bloom filter, as hardware signatures build it.
 
     LogTM-SE and Bulk implement signatures as ``k`` independent SRAM banks
@@ -126,6 +131,11 @@ class BankedBloomFilter:
     then be probed in parallel.  Statistically the banked design has a
     marginally higher false-positive rate than a flat filter of equal total
     size; the ``signature-design`` ablation benchmark quantifies it.
+
+    The banks are consecutive slices of one byte array, bank ``b`` at
+    offset ``b * bank_bits``.  :meth:`probe_key` adds those offsets to the
+    family's per-bank indices, so insert, probe and clear are the flat
+    filter's.
     """
 
     def __init__(
@@ -136,92 +146,32 @@ class BankedBloomFilter:
     ) -> None:
         if bits < hash_functions:
             raise ValueError("need at least one bit per bank")
+        bank_bits = bits // hash_functions
         self.bits = bits
         self.banks = hash_functions
-        self._bank_bits = bits // hash_functions
-        self._family = family or MultiplicativeHashFamily(
-            hash_functions, self._bank_bits
+        self._bank_bits = bank_bits
+        self._offsets = tuple(range(0, bank_bits * hash_functions, bank_bits))
+        self.family = family or MultiplicativeHashFamily(
+            hash_functions, bank_bits
         )
-        if self._family.buckets != self._bank_bits:
+        if self.family.buckets != bank_bits:
             raise ValueError("hash family buckets must equal bank width")
-        self._arrays = [0] * hash_functions
+        self.array = bytearray(bank_bits * hash_functions)
         self._inserted = 0
 
-    @property
-    def inserted(self) -> int:
-        return self._inserted
-
-    @property
-    def popcount(self) -> int:
-        return sum(a.bit_count() for a in self._arrays)
-
-    @property
-    def saturation(self) -> float:
-        return self.popcount / (self._bank_bits * self.banks)
-
-    def insert(self, value: int) -> None:
-        arrays = self._arrays
-        for bank, index in enumerate(self._family.indices_for(value)):
-            arrays[bank] |= 1 << index
-        self._inserted += 1
-
-    def insert_all(self, values: Iterable[int]) -> None:
-        insert = self.insert
-        for value in values:
-            insert(value)
-
-    def maybe_contains(self, value: int) -> bool:
-        arrays = self._arrays
-        for bank, index in enumerate(self._family.indices_for(value)):
-            if not (arrays[bank] >> index) & 1:
-                return False
-        return True
-
-    # -- key-based probing (see BloomFilter) --------------------------------
-
-    @property
-    def family(self) -> HashFamily:
-        return self._family
-
-    def probe_key(self, value: int):
-        """The reusable probe token: one bit index per bank."""
-        return self._family.indices_for(value)
-
-    def contains_key(self, key) -> bool:
-        arrays = self._arrays
-        for bank, index in enumerate(key):
-            if not (arrays[bank] >> index) & 1:
-                return False
-        return True
-
-    def clear(self) -> None:
-        self._arrays = [0] * self.banks
-        self._inserted = 0
-
-    def is_empty(self) -> bool:
-        return all(a == 0 for a in self._arrays)
-
-    def expected_false_positive_rate(self) -> float:
-        """The analytic banked estimate from insert count.
-
-        Each of the ``k`` banks has ``m/k`` bits and sees one hash per
-        insert, so a bank bit stays clear with probability
-        ``(1 - k/m)^n`` — giving ``(1 - e^{-kn/m})^k`` overall, the same
-        asymptotic form as the flat filter (banking costs only a
-        lower-order term).
-        """
-        if self._inserted == 0:
-            return 0.0
-        k = self.banks
-        return (1.0 - math.exp(-k * self._inserted / self.bits)) ** k
+    def probe_key(self, value: int) -> Tuple[int, ...]:
+        """One byte offset per bank: bank offset plus the bank's index."""
+        return tuple(map(add, self.family.indices_for(value), self._offsets))
 
     def observed_false_positive_rate(self) -> float:
         """Product of per-bank occupancies: the aliasing rate of a random
-        probe against *this* filter's bit arrays (one bit tested per bank).
+        probe against *this* filter's banks (one bit tested per bank).
         """
         if self._inserted == 0:
             return 0.0
         rate = 1.0
-        for array in self._arrays:
-            rate *= array.bit_count() / self._bank_bits
+        array = self.array
+        bank_bits = self._bank_bits
+        for start in self._offsets:
+            rate *= array.count(1, start, start + bank_bits) / bank_bits
         return rate

@@ -11,28 +11,29 @@ Two implementations of the same interface:
   line addresses at a fraction of the cost; the default in simulations.
 
 Signature checks sit on the simulator's hottest path (every LLC miss in
-UHTM; every access in signature-only designs), and the same few thousand
-line addresses recur across transactions.  Each family therefore memoises,
-per input value, both the index tuple and the flat OR-mask of those indices
-(an LRU memo, capped at :data:`MEMO_CAPACITY` entries), so a warm probe is
-one dict hit instead of ``k`` multiply/mix/mod rounds.  A family's outputs
-are a pure function of ``(functions, buckets, seed)``, which also makes the
-instances themselves shareable: :func:`shared_multiplicative` hands out one
-memoised family per parameter triple instead of re-deriving multipliers for
-every transaction's signature pair.
+UHTM; every access in signature-only designs), and the same line addresses
+recur across transactions.  Each family therefore memoises the tuple of
+``k`` indices per input value in one plain dict, bounded at
+:data:`MEMO_CAPACITY` entries, so a warm probe is one dict hit instead of
+``k`` multiply/mix/mod rounds.  A family's outputs are a pure function of
+``(functions, buckets, seed)``, which also makes the instances themselves
+shareable: :func:`shared_multiplicative` hands out one memoised family per
+parameter triple instead of re-deriving multipliers for every
+transaction's signature pair.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..sim.rng import RngStreams
 
 _MASK64 = (1 << 64) - 1
 
-#: Per-family LRU memo capacity (entries are ~100 bytes; 64Ki entries bound
-#: each memo to a few MB while covering any realistic working set).
+#: Per-family memo capacity.  An entry (the value, its 4-index tuple and
+#: the dict slot) measures about 250 bytes under tracemalloc, so a full memo
+#: holds about 16 MB.  A full memo is emptied and refills on demand: indices
+#: are a pure function of the value, so eviction never changes an answer.
 MEMO_CAPACITY = 1 << 16
 
 
@@ -40,8 +41,7 @@ class HashFamily:
     """Interface: k independent functions from 64-bit ints to [0, buckets).
 
     Subclasses implement :meth:`indices`; the base class layers the memoised
-    fast paths :meth:`indices_for` (tuple of k indices) and :meth:`or_mask`
-    (the flat big-int mask with those k bits set) on top of it.
+    fast path :meth:`indices_for` (the tuple of k indices) on top of it.
     """
 
     def __init__(self, functions: int, buckets: int) -> None:
@@ -51,22 +51,20 @@ class HashFamily:
             raise ValueError("need at least one bucket")
         self.functions = functions
         self.buckets = buckets
-        # Bound methods wrapped in per-instance LRU memos: the hot path pays
-        # one cache probe per value instead of k hash computations.
-        self.indices_for = lru_cache(maxsize=MEMO_CAPACITY)(self._indices_tuple)
-        self.or_mask = lru_cache(maxsize=MEMO_CAPACITY)(self._or_mask)
+        self._memo: Dict[int, Tuple[int, ...]] = {}
 
     def indices(self, value: int) -> Sequence[int]:
         raise NotImplementedError
 
-    def _indices_tuple(self, value: int) -> Tuple[int, ...]:
-        return tuple(self.indices(value))
-
-    def _or_mask(self, value: int) -> int:
-        mask = 0
-        for index in self.indices_for(value):
-            mask |= 1 << index
-        return mask
+    def indices_for(self, value: int) -> Tuple[int, ...]:
+        """``tuple(self.indices(value))``, memoised per value."""
+        memo = self._memo
+        key = memo.get(value)
+        if key is None:
+            if len(memo) >= MEMO_CAPACITY:
+                memo.clear()
+            key = memo[value] = tuple(self.indices(value))
+        return key
 
 
 class H3HashFamily(HashFamily):

@@ -9,17 +9,21 @@ behaviour.  Two seeds per stream guard against a lucky sequence.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cache.setassoc import SetAssociativeArray
+from repro.htm import designs
 from repro.mem.dram_cache import DramCache
-from repro.params import CacheGeometry, LINE_SIZE, MemoryConfig
+from repro.params import CacheGeometry, LINE_SIZE, MemoryConfig, SignatureConfig
+from repro.signatures.addresssig import SignaturePair
 from repro.signatures.bloom import BankedBloomFilter, BloomFilter
 from repro.signatures.hashing import MultiplicativeHashFamily
-from repro.sim.stats import Histogram
+from repro.signatures.isolation import ConflictDomainRegistry
+from repro.sim.stats import Histogram, StatsRegistry
 
 SEEDS = (2020, 7)
 
@@ -28,60 +32,152 @@ SEEDS = (2020, 7)
 
 
 class ReferenceBloom:
-    """A Bloom filter as a plain set of bit indices (no big-int tricks)."""
+    """Either filter kind as a plain set of ``(bank, index)`` positions.
 
-    def __init__(self, family: MultiplicativeHashFamily) -> None:
+    A flat filter is one bank.  Indices come from the family's unmemoised
+    :meth:`indices`, so the reference shares no state with the filter.
+    """
+
+    def __init__(self, family, banks: int = 1) -> None:
         self._family = family
-        self._bits: set = set()
+        self._banks = banks
+        self._positions: set = set()
+
+    def positions(self, value: int) -> set:
+        indices = self._family.indices(value)
+        if self._banks == 1:
+            return {(0, index) for index in indices}
+        return set(enumerate(indices))
 
     def insert(self, value: int) -> None:
-        self._bits.update(self._family.indices_for(value))
+        self._positions |= self.positions(value)
 
     def maybe_contains(self, value: int) -> bool:
-        return all(i in self._bits for i in self._family.indices_for(value))
+        return self.positions(value) <= self._positions
+
+    def clear(self) -> None:
+        self._positions = set()
 
     @property
     def popcount(self) -> int:
-        return len(self._bits)
+        return len(self._positions)
+
+    def observed_false_positive_rate(self) -> float:
+        if not self._positions:
+            return 0.0
+        bank_bits = self._family.buckets
+        if self._banks == 1:
+            return (len(self._positions) / bank_bits) ** self._family.functions
+        rate = 1.0
+        for bank in range(self._banks):
+            occupied = sum(1 for b, _ in self._positions if b == bank)
+            rate *= occupied / bank_bits
+        return rate
+
+
+def assert_filter_matches(optimized, reference, probes) -> None:
+    assert optimized.popcount == reference.popcount
+    assert optimized.is_empty() == (reference.popcount == 0)
+    assert optimized.observed_false_positive_rate() == pytest.approx(
+        reference.observed_false_positive_rate(), rel=1e-12
+    )
+    for value in probes:
+        expected = reference.maybe_contains(value)
+        assert optimized.maybe_contains(value) == expected, hex(value)
+        key = optimized.probe_key(value)
+        assert optimized.contains_key(key) == expected, hex(value)
+
+
+def check_through_clear(optimized, reference, seed) -> None:
+    """Insert, probe, clear and re-insert: every observable agrees."""
+    rng = random.Random(seed)
+    values = [rng.randrange(1 << 32) for _ in range(300)]
+    assert_filter_matches(optimized, reference, values[:50])
+    for value in values[:150]:
+        optimized.insert(value)
+        reference.insert(value)
+    assert_filter_matches(optimized, reference, values)
+    assert any(optimized.maybe_contains(v) for v in values[150:])
+    optimized.clear()
+    reference.clear()
+    assert optimized.is_empty() and optimized.inserted == 0
+    assert_filter_matches(optimized, reference, values)
+    for value in values[200:260]:
+        optimized.insert(value)
+        reference.insert(value)
+    assert_filter_matches(optimized, reference, values)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bloom_filter_matches_reference(seed):
-    rng = random.Random(seed)
     family = MultiplicativeHashFamily(4, 256)
     optimized = BloomFilter(256, 4, family=family)
-    reference = ReferenceBloom(family)
-    values = [rng.randrange(1 << 32) for _ in range(300)]
-    for value in values[:150]:
-        optimized.insert(value)
-        reference.insert(value)
-    assert optimized.popcount == reference.popcount
-    for value in values:
-        assert optimized.maybe_contains(value) == reference.maybe_contains(
-            value
-        ), f"membership diverged for {value:#x}"
-        key = optimized.probe_key(value)
-        assert optimized.contains_key(key) == reference.maybe_contains(value)
+    check_through_clear(optimized, ReferenceBloom(family), seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_banked_bloom_matches_per_bank_reference(seed):
-    rng = random.Random(seed)
     optimized = BankedBloomFilter(256, 4)
-    family = optimized.family
-    banks = [set() for _ in range(4)]
-    values = [rng.randrange(1 << 32) for _ in range(300)]
-    for value in values[:150]:
-        optimized.insert(value)
-        for bank, index in enumerate(family.indices_for(value)):
-            banks[bank].add(index)
-    assert optimized.popcount == sum(len(b) for b in banks)
-    for value in values:
-        expected = all(
-            index in banks[bank]
-            for bank, index in enumerate(family.indices_for(value))
+    check_through_clear(optimized, ReferenceBloom(optimized.family, 4), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("banked", [False, True], ids=["flat", "banked"])
+def test_signature_hits_match_reference(banked, seed):
+    """The inlined probe loop of ``_signature_hits`` against the sets."""
+    rng = random.Random(seed)
+    config = SignatureConfig(bits=128, banked=banked)
+    registry = ConflictDomainRegistry(isolation_enabled=True)
+    references = {}
+    for tx_id in range(1, 7):
+        pair = SignaturePair(config)
+        banks = 4 if banked else 1
+        refs = (
+            ReferenceBloom(pair.read_filter.family, banks),
+            ReferenceBloom(pair.write_filter.family, banks),
         )
-        assert optimized.maybe_contains(value) == expected
+        # Transaction 6 stays empty: the probe must skip it.
+        for _ in range(0 if tx_id == 6 else rng.randrange(5, 40)):
+            line = rng.randrange(1 << 20) * LINE_SIZE
+            if rng.random() < 0.5:
+                pair.add_read(line)
+                refs[0].insert(line)
+            else:
+                pair.add_write(line)
+                refs[1].insert(line)
+        registry.register(tx_id, 3, pair)
+        references[tx_id] = (pair, refs)
+    system = SimpleNamespace(
+        domains=registry, stats=StatsRegistry(), tracer=None, tss=None
+    )
+    probes = [
+        line for pair, _ in references.values() for line in pair.exact_write
+    ]
+    probes += [rng.randrange(1 << 20) * LINE_SIZE for _ in range(300)]
+    expected_counts: Counter = Counter()
+    for line in probes:
+        is_write = rng.random() < 0.5
+        exclude = rng.choice([None, 1, 6])
+        hits = designs._signature_hits(system, 3, line, is_write, exclude)
+        expected = []
+        checked = 0
+        for tx_id, (pair, (read_ref, write_ref)) in references.items():
+            if tx_id == exclude or pair.is_empty():
+                continue
+            checked += 1
+            if write_ref.maybe_contains(line) or (
+                is_write and read_ref.maybe_contains(line)
+            ):
+                truly = line in pair.exact_write or (
+                    is_write and line in pair.exact_read
+                )
+                expected.append((tx_id, truly))
+                label = "sig.hits.true" if truly else "sig.hits.false"
+                expected_counts[label] += 1
+        expected_counts["sig.checks"] += checked
+        assert hits == expected, hex(line)
+    assert system.stats.snapshot() == expected_counts
+    assert expected_counts["sig.hits.false"] > 0
 
 
 # ---------------------------------------------------------------- setassoc

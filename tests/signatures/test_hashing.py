@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from repro.signatures import hashing
+from repro.signatures.bloom import BloomFilter
 from repro.signatures.hashing import H3HashFamily, MultiplicativeHashFamily
 
 
@@ -69,3 +73,56 @@ class TestUniformity:
             agreements += h1 == h2
         # Expected agreements ≈ 2000/1024 ≈ 2; allow generous slack.
         assert agreements < 30
+
+
+class TestIndexMemo:
+    """The per-family memo of index tuples: bounded, small, answer-neutral."""
+
+    def test_footprint_per_distinct_address(self):
+        """Inserting then probing a new line address costs at most 320 B.
+
+        The cost is the memo entry (the value, its index tuple and the dict
+        slot), about 250 B; the filter's byte array does not grow.  The bound
+        fails a memo that also keeps a 4096-bit mask per address (about
+        850 B).
+        """
+        lines = 4096
+        family = MultiplicativeHashFamily(4, 4096, seed=11)
+        bloom = BloomFilter(4096, 4, family)
+        base = 0x4000_0000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(lines):
+                line = base + i * 64
+                bloom.insert(line)
+                assert bloom.maybe_contains(line)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / lines <= 320
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(hashing, "MEMO_CAPACITY", 8)
+        family = MultiplicativeHashFamily(4, 4096)
+        for value in range(0, 64 * 50, 64):
+            family.indices_for(value)
+            assert len(family._memo) <= 8
+
+    def test_answers_survive_memo_overflow(self, monkeypatch):
+        monkeypatch.setattr(hashing, "MEMO_CAPACITY", 8)
+        family = MultiplicativeHashFamily(4, 512, seed=3)
+        bloom = BloomFilter(512, 4, family)
+        inserted = [0x1000 + i * 64 for i in range(40)]
+        probes = [0x1000 + i * 64 for i in range(200)]
+        bloom.insert_all(inserted)
+        answers = [bloom.maybe_contains(p) for p in probes]
+        fresh = MultiplicativeHashFamily(4, 512, seed=3)
+        assert [family.indices_for(p) for p in probes] == [
+            tuple(fresh.indices(p)) for p in probes
+        ]
+        bits = {i for value in inserted for i in fresh.indices(value)}
+        assert answers == [
+            all(i in bits for i in fresh.indices(p)) for p in probes
+        ]
+        assert any(answers[len(inserted):])  # some aliasing was exercised
