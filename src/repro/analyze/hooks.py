@@ -3,8 +3,9 @@
 The fault-injection campaigns of PR 1 thread optional hooks through the
 machine: ``fault_injector`` on the controller and engine, ``on_nvm_commit``
 and ``on_nontx_nvm_store`` for the crash oracle, ``pre_compact`` on the
-hardware log, and the hierarchy's eviction callbacks.  All of them are
-``None`` outside a campaign, so every invocation site must be None-guarded —
+hardware log, and the hierarchy's eviction and LLC-miss callbacks.  All of
+them are ``None`` outside a campaign or a design that installs them, so
+every invocation site must be None-guarded —
 an unguarded call crashes every plain simulation run, and the failure only
 shows up once the code path is hot.
 
@@ -38,6 +39,7 @@ HOOK_ATTRS = frozenset(
         "pre_compact",
         "on_l1_evict",
         "on_llc_evict",
+        "on_llc_miss",
     }
 )
 

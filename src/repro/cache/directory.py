@@ -105,11 +105,18 @@ class Directory:
     # -- recording ------------------------------------------------------------
 
     def record_access(self, line_addr: int, tx_id: int, is_write: bool) -> None:
-        """Set Tx-Owner / add to Tx-Sharer for a permitted access."""
+        """Set Tx-Owner / add to Tx-Sharer for a permitted access.
+
+        A repeat access returns early: a transaction named in an entry
+        always has the line in its ``_lines_of_tx`` set, so there is
+        nothing left to record.
+        """
         entry = self._entries.get(line_addr)
         if entry is None:
             entry = DirectoryEntry(line_addr)
             self._entries[line_addr] = entry
+        elif entry.tx_owner == tx_id if is_write else tx_id in entry.tx_sharers:
+            return
         if is_write:
             entry.tx_owner = tx_id
         else:

@@ -13,6 +13,13 @@ back-invalidates every L1 copy.  The HTM design hooks two callbacks:
   written lines, moves its speculative data off-chip (undo log + in-place
   for DRAM, DRAM-cache buffering for NVM).
 
+Designs that check off-chip tracking only on LLC misses also install
+``on_llc_miss(line_addr, is_write, tx_id, domain_id)``.  :meth:`access`
+calls it where the LLC lookup missed, before the memory access and the
+fill: a request that loses the check raises out of the walk having
+installed nothing (the hardware nacks it), so later requests cannot hit
+the line on-chip and skip the check.
+
 Data values are *not* stored here: committed values live in the backing
 stores, speculative values in per-transaction write buffers.  Dirty bits
 exist for write-back traffic accounting only.
@@ -30,14 +37,16 @@ from .setassoc import CacheLineMeta, SetAssociativeArray
 
 L1EvictCallback = Callable[[int, CacheLineMeta], None]
 LLCEvictCallback = Callable[[CacheLineMeta, Optional[DirectoryEntry]], None]
+LLCMissCallback = Callable[[int, bool, Optional[int], int], None]
 
 
 class AccessResult(NamedTuple):
     """Timing and path information for one memory access.
 
-    A named tuple rather than a frozen dataclass: one is allocated per
-    simulated memory operation, and tuple construction is several times
-    cheaper than ``object.__setattr__``-based frozen-dataclass init.
+    A named tuple rather than a frozen dataclass: tuple construction is
+    several times cheaper than ``object.__setattr__``-based frozen-dataclass
+    init.  Hits return one of two results built once per hierarchy, so only
+    misses allocate.
     """
 
     latency_ns: float
@@ -70,10 +79,13 @@ class CacheHierarchy:
         latency = machine.latency
         self._l1_hit_ns = latency.l1_ns
         self._llc_hit_ns = latency.l1_ns + latency.llc_ns
+        self._l1_hit = AccessResult(self._l1_hit_ns, "l1")
+        self._llc_hit = AccessResult(self._llc_hit_ns, "llc")
         #: Which cores' L1s hold each line (avoids probing all L1s).
         self.l1_holders: Dict[int, Set[int]] = {}
         self.on_l1_evict: Optional[L1EvictCallback] = None
         self.on_llc_evict: Optional[LLCEvictCallback] = None
+        self.on_llc_miss: Optional[LLCMissCallback] = None
         self.writebacks = 0
         #: Optional event tracer (see :mod:`repro.obs`): transactional LLC
         #: evictions are emitted as ``llc.evict`` events when attached.
@@ -84,10 +96,9 @@ class CacheHierarchy:
     def would_miss_llc(self, core_id: int, line_addr: int) -> bool:
         """Would an access by ``core_id`` go to memory right now?
 
-        Used to run off-chip conflict checks *before* the fill: a request
-        that loses its conflict check is nacked and must not install the
-        line (otherwise later requests would hit the cache and skip the
-        check — reading uncommitted in-place data).
+        A side-effect-free probe: it touches neither LRU state nor the
+        hit/miss counters.  The access path answers the same question from
+        its own lookups (see :meth:`access`).
         """
         if self.l1s[core_id].peek(line_addr) is not None:
             return False
@@ -100,6 +111,7 @@ class CacheHierarchy:
         is_write: bool,
         tx_id: Optional[int] = None,
         now_ns: float = 0.0,
+        domain_id: Optional[int] = None,
     ) -> AccessResult:
         """Walk L1 → LLC → memory for one line-granularity access.
 
@@ -107,7 +119,11 @@ class CacheHierarchy:
         buffers) is the HTM design's job; this method only moves tags and
         reports timing.  Writes invalidate other cores' L1 copies (GetM).
         ``now_ns`` (the requester's clock) feeds the optional bandwidth
-        model's channel queueing.
+        model's channel queueing.  ``domain_id`` is the requester's conflict
+        domain, or ``None`` for no off-chip check: when it is set and the
+        LLC misses, ``on_llc_miss`` runs before the memory access and the
+        fill, and if it raises, the request leaves no tag, LRU, holder or
+        MESI change behind.
 
         Coherence resolution (the former ``_finish_access``) is inlined at
         the tail: it runs exactly once per simulated memory operation, and
@@ -116,13 +132,14 @@ class CacheHierarchy:
         l1 = self.l1s[core_id]
         l1_meta = l1.lookup(line_addr)
         if l1_meta is not None:
-            latency = self._l1_hit_ns
-            level = "l1"
+            result = self._l1_hit
         else:
-            latency = self._llc_hit_ns
             if self.llc.lookup(line_addr) is not None:
-                level = "llc"
+                result = self._llc_hit
             else:
+                if domain_id is not None and self.on_llc_miss is not None:
+                    self.on_llc_miss(line_addr, is_write, tx_id, domain_id)
+                latency = self._llc_hit_ns
                 latency += self.controller.demand_access_latency(
                     line_addr, now_ns + latency
                 )
@@ -130,7 +147,7 @@ class CacheHierarchy:
                 _, llc_victims = self.llc.fill(line_addr)
                 for victim in llc_victims:
                     self.handle_llc_eviction(victim)
-                level = "mem"
+                result = AccessResult(latency, "mem")
             l1_meta = self.fill_l1_after_miss(l1, core_id, line_addr)
         if is_write:
             # GetM: invalidate every other copy; this copy goes to M (a
@@ -166,7 +183,7 @@ class CacheHierarchy:
                     l1_meta.tx_readers = {tx_id}
                 else:
                     readers.add(tx_id)
-        return AccessResult(latency, level)
+        return result
 
     # -- fills and evictions -----------------------------------------------------
 

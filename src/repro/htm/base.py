@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.setassoc import CacheLineMeta
-from ..cache.directory import DirectoryEntry
+from ..cache.directory import DirectoryConflict, DirectoryEntry
 from ..errors import (
     AbortReason,
     TransactionAborted,
@@ -46,13 +46,14 @@ from .conflict import (
     resolve_conflict,
     resolve_conflict_oldest_wins,
 )
-from .tss import TransactionStatusStructure, TxStatus
+from .tss import TransactionStatusStructure, TssEntry, TxStatus
 from .txid import TxIdAllocator
 
 #: Inlined forms of :func:`line_of` / :func:`word_of` for the access paths,
 #: which run once per simulated memory operation.
 _LINE_MASK = ~(LINE_SIZE - 1)
 _WORD_MASK = ~(WORD_SIZE - 1)
+_ACTIVE = TxStatus.ACTIVE
 
 
 @dataclass
@@ -79,6 +80,9 @@ class TxHandle:
     #: NVM lines whose redo-log append has already been charged.
     nvm_logged_lines: Set[int] = field(default_factory=set)
     signature: Optional[object] = None  # SignaturePair for designs that use it
+    #: This transaction's TSS entry, so the access paths test the abort flag
+    #: without a TSS lookup.
+    entry: Optional[TssEntry] = None
     reads: int = 0
     writes: int = 0
 
@@ -141,13 +145,20 @@ class HTMSystem:
         hierarchy.on_l1_evict = self._handle_l1_evict
         hierarchy.on_llc_evict = self._handle_llc_evict
         # The off-chip trigger is a pure policy function of the miss bit, so
-        # sample it once: the access paths can then skip the two-level cache
-        # probe in ``would_miss_llc`` entirely for designs that either never
-        # check (LLC-bounded) or always check (signature-only).
+        # sample it once.  Designs that check on every access (signature-only)
+        # do so before the cache walk; designs that check only on LLC misses
+        # (UHTM, Ideal) get the check called from inside the walk, at the
+        # miss and before the fill.
         trigger_on_hit = self._offchip_trigger(False)
         trigger_on_miss = self._offchip_trigger(True)
         self._offchip_always = trigger_on_hit and trigger_on_miss
         self._offchip_on_miss_only = trigger_on_miss and not trigger_on_hit
+        if self._offchip_on_miss_only:
+            hierarchy.on_llc_miss = self._handle_llc_miss
+        #: Does this design override the per-access bookkeeping hook?
+        self._records_access = (
+            type(self)._on_access_recorded is not HTMSystem._on_access_recorded
+        )
         # Per-access invariants, hoisted: the address-space split and the
         # configured log policy never change after construction.
         self._nvm_base = NVM_BASE
@@ -166,7 +177,8 @@ class HTMSystem:
         Evaluated *before* the cache fill, so a losing requester's line is
         never installed (the hardware nacks the request): if it were, later
         requests would hit on-chip, skip the signature check, and read
-        uncommitted in-place data.
+        uncommitted in-place data.  On-miss checks run from inside
+        :meth:`CacheHierarchy.access` through :meth:`_handle_llc_miss`.
         """
         raise NotImplementedError
 
@@ -209,7 +221,9 @@ class HTMSystem:
             domain_id=domain_id,
             started_at_ns=thread.clock_ns,
         )
-        self.tss.register(tx_id, self.domains.effective_domain(domain_id))
+        tx.entry = self.tss.register(
+            tx_id, self.domains.effective_domain(domain_id)
+        )
         self._active[tx_id] = tx
         self._register_tracking(tx)
         if self.capture is not None:
@@ -239,28 +253,26 @@ class HTMSystem:
     # --------------------------------------------------------------- access
 
     def tx_read(self, tx: TxHandle, addr: int) -> int:
-        self._check_doomed(tx)
+        if tx.entry.status is not _ACTIVE:
+            self._check_doomed(tx)
         line_addr = addr & _LINE_MASK
         hierarchy = self.hierarchy
         thread = tx.thread
-        self._onchip_conflict_check(tx, line_addr, is_write=False)
-        if self._offchip_always or (
-            self._offchip_on_miss_only
-            and hierarchy.would_miss_llc(tx.core_id, line_addr)
-        ):
-            self._offchip_conflict_check(
-                requester=tx,
-                domain_id=tx.domain_id,
-                line_addr=line_addr,
-                is_write=False,
-            )
+        tx_id = tx.tx_id
+        if self.USES_DIRECTORY:
+            conflict = hierarchy.directory.check_access(line_addr, tx_id, False)
+            if conflict is not None:
+                self._onchip_resolution(tx, line_addr, conflict)
+        if self._offchip_always:
+            self._offchip_conflict_check(tx, tx.domain_id, line_addr, False)
         result = hierarchy.access(
-            tx.core_id, line_addr, False, tx.tx_id, now_ns=thread.clock_ns
+            tx.core_id, line_addr, False, tx_id, thread.clock_ns, tx.domain_id
         )
         thread.advance(result.latency_ns)
-        self._check_doomed(tx)  # the access may have overflowed us to death
+        if tx.entry.status is not _ACTIVE:
+            self._check_doomed(tx)  # the access may have overflowed us to death
         if self.USES_DIRECTORY:
-            hierarchy.directory.record_access(line_addr, tx.tx_id, False)
+            hierarchy.directory.record_access(line_addr, tx_id, False)
             if (
                 line_addr in tx.dram_overflowed_lines
                 or line_addr in tx.nvm_overflowed_lines
@@ -268,12 +280,13 @@ class HTMSystem:
                 # Re-fetching one's own spilled line brings *speculative*
                 # data back on-chip; ownership must be re-established or a
                 # later reader would see it as innocent shared data.
-                hierarchy.directory.record_access(line_addr, tx.tx_id, True)
+                hierarchy.directory.record_access(line_addr, tx_id, True)
         tx.read_lines.add(line_addr)
         tx.reads += 1
         if self.capture is not None:
-            self.capture.op(tx.tx_id, False, addr)
-        self._on_access_recorded(tx, line_addr, is_write=False)
+            self.capture.op(tx_id, False, addr)
+        if self._records_access:
+            self._on_access_recorded(tx, line_addr, is_write=False)
         if self._dram_redo and line_addr in tx.dram_overflowed_lines:
             # Read indirection: the new value lives in the redo log.
             thread.advance(self.controller.redo_dram_indirection_latency())
@@ -286,33 +299,32 @@ class HTMSystem:
         return self.controller.load_word(addr)
 
     def tx_write(self, tx: TxHandle, addr: int, value: int) -> None:
-        self._check_doomed(tx)
+        if tx.entry.status is not _ACTIVE:
+            self._check_doomed(tx)
         line_addr = addr & _LINE_MASK
         hierarchy = self.hierarchy
         thread = tx.thread
-        self._onchip_conflict_check(tx, line_addr, is_write=True)
-        if self._offchip_always or (
-            self._offchip_on_miss_only
-            and hierarchy.would_miss_llc(tx.core_id, line_addr)
-        ):
-            self._offchip_conflict_check(
-                requester=tx,
-                domain_id=tx.domain_id,
-                line_addr=line_addr,
-                is_write=True,
-            )
+        tx_id = tx.tx_id
+        if self.USES_DIRECTORY:
+            conflict = hierarchy.directory.check_access(line_addr, tx_id, True)
+            if conflict is not None:
+                self._onchip_resolution(tx, line_addr, conflict)
+        if self._offchip_always:
+            self._offchip_conflict_check(tx, tx.domain_id, line_addr, True)
         result = hierarchy.access(
-            tx.core_id, line_addr, True, tx.tx_id, now_ns=thread.clock_ns
+            tx.core_id, line_addr, True, tx_id, thread.clock_ns, tx.domain_id
         )
         thread.advance(result.latency_ns)
-        self._check_doomed(tx)
+        if tx.entry.status is not _ACTIVE:
+            self._check_doomed(tx)
         if self.USES_DIRECTORY:
-            hierarchy.directory.record_access(line_addr, tx.tx_id, True)
+            hierarchy.directory.record_access(line_addr, tx_id, True)
         tx.written_lines.add(line_addr)
         tx.writes += 1
         if self.capture is not None:
-            self.capture.op(tx.tx_id, True, addr)
-        self._on_access_recorded(tx, line_addr, is_write=True)
+            self.capture.op(tx_id, True, addr)
+        if self._records_access:
+            self._on_access_recorded(tx, line_addr, is_write=True)
         if (
             self._nvm_base <= addr < self._nvm_end
             and line_addr not in tx.nvm_logged_lines
@@ -361,8 +373,12 @@ class HTMSystem:
         line_addr = addr & _LINE_MASK
         # Fast path: with no transaction active anywhere there is nothing to
         # conflict with — the directory holds no Tx fields and the domain
-        # registry holds no signatures, so both checks are vacuous.
+        # registry holds no signatures, so both checks are vacuous.  The
+        # test is read once: directory aborts below may empty ``_active``,
+        # and the off-chip check must still run as it was issued.
+        check_domain = None
         if self._active:
+            check_domain = domain_id
             if self.USES_DIRECTORY:
                 conflict = self.hierarchy.directory.check_access(
                     line_addr, None, is_write
@@ -374,20 +390,12 @@ class HTMSystem:
                             AbortReason.NON_TX_CONFLICT,
                             line_addr=line_addr,
                         )
-            if self._offchip_always or (
-                self._offchip_on_miss_only
-                and self.hierarchy.would_miss_llc(core_id, line_addr)
-            ):
+            if self._offchip_always:
                 # Check before the fill: the victims' rollback must restore
                 # the in-place data this request is about to read.
-                self._offchip_conflict_check(
-                    requester=None,
-                    domain_id=domain_id,
-                    line_addr=line_addr,
-                    is_write=is_write,
-                )
+                self._offchip_conflict_check(None, domain_id, line_addr, is_write)
         result = self.hierarchy.access(
-            core_id, line_addr, is_write, None, now_ns=thread.clock_ns
+            core_id, line_addr, is_write, None, thread.clock_ns, check_domain
         )
         thread.advance(result.latency_ns)
         if is_write:
@@ -400,16 +408,15 @@ class HTMSystem:
 
     # ------------------------------------------------------------ conflicts
 
-    def _onchip_conflict_check(
-        self, tx: TxHandle, line_addr: int, is_write: bool
+    def _onchip_resolution(
+        self, tx: TxHandle, line_addr: int, conflict: DirectoryConflict
     ) -> None:
-        if not self.USES_DIRECTORY:
-            return
-        conflict = self.hierarchy.directory.check_access(
-            line_addr, tx.tx_id, is_write
-        )
-        if conflict is None:
-            return
+        """Resolve a directory conflict the requester ``tx`` ran into.
+
+        The access paths probe the directory themselves
+        (``directory.check_access``, once per access) and pay for
+        resolution only when a conflict comes back.
+        """
         victims = [v for v in sorted(conflict.victims) if self.tss.is_active(v)]
         if not victims:
             return
@@ -433,6 +440,14 @@ class HTMSystem:
                 other_tx=tx.tx_id,
             )
 
+    def _handle_llc_miss(
+        self, line_addr: int, is_write: bool, tx_id: Optional[int], domain_id: int
+    ) -> None:
+        """The hierarchy's ``on_llc_miss`` hook: the off-chip check of an
+        access that missed the LLC, run before the line is filled."""
+        requester = self._active[tx_id] if tx_id is not None else None
+        self._offchip_conflict_check(requester, domain_id, line_addr, is_write)
+
     def _offchip_conflict_check(
         self,
         requester: Optional[TxHandle],
@@ -444,7 +459,7 @@ class HTMSystem:
         # The probe short-circuit encodes Table II; under other policies the
         # full hit list must be gathered.
         requester_overflowed = (
-            self.tss.is_overflowed(requester.tx_id)
+            requester.entry.overflowed
             if requester is not None
             and self.config.resolution == ResolutionPolicy.TABLE2
             else None
@@ -452,13 +467,25 @@ class HTMSystem:
         hits = self._offchip_conflicts(
             domain_id, line_addr, is_write, exclude, requester_overflowed
         )
-        if not hits:
-            return
+        if hits:
+            self._offchip_resolution(requester, line_addr, hits)
+
+    def _offchip_resolution(
+        self,
+        requester: Optional[TxHandle],
+        line_addr: int,
+        hits: List[Tuple[int, bool]],
+    ) -> None:
+        """Resolve off-chip hits: ``(victim tx, is-true-conflict)`` pairs.
+
+        The post-probe half of :meth:`_offchip_conflict_check`, for callers
+        that run the probe themselves.  A non-transactional requester
+        (``None``) always wins.
+        """
         self.stats.incr("conflicts.offchip")
         victims = [tx_id for tx_id, _ in hits]
         truly = {tx_id: is_true for tx_id, is_true in hits}
         if requester is None:
-            # Non-transactional requester always wins.
             for victim_id in victims:
                 reason = (
                     AbortReason.NON_TX_CONFLICT

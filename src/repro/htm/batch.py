@@ -8,17 +8,20 @@ workload already issues its memory operations in blocks between yields
 ``_SWEEP_CHUNK`` read-modify-write pairs), so a whole block *is* an epoch:
 a batch of operations whose interleaving against other threads is fixed by
 construction.  What the per-op walk spends on that block is largely
-interpreter overhead — context/method frames, double cache probes, per-op
-result allocation, per-op counter calls.
+interpreter overhead — context/method frames, per-op result allocation,
+per-op counter calls.
 
 :class:`BatchDispatcher` replays each block through fused loops that mirror
 :meth:`~repro.htm.base.HTMSystem.tx_read` /
 :meth:`~repro.htm.base.HTMSystem.tx_write` /
 :meth:`~repro.htm.base.HTMSystem.nontx_access` and
 :meth:`~repro.cache.hierarchy.CacheHierarchy.access` operation for
-operation — same probe order, same conflict-check staging, same float
-additions to the thread clock, same counter totals.  The inner eviction
-handlers (``handle_l1_eviction``/``handle_llc_eviction``) are inlined
+operation — same probe order, same conflict-check staging (the off-chip
+check at the LLC miss, before the fill), same float additions to the
+thread clock, same counter totals.  Conflict resolution itself is not
+restated: the loops call ``HTMSystem._onchip_resolution`` and
+``_offchip_resolution``.  The inner eviction handlers
+(``handle_l1_eviction``/``handle_llc_eviction``) are inlined
 statement-for-statement as well: the three fused loops deliberately repeat
 that code, because a shared helper would reintroduce exactly the per-op
 call frames the epoch core exists to remove.  Bit-identity against the
@@ -32,8 +35,8 @@ loop: an event tracer or trace capture attached (per-op events must
 interleave exactly as the per-op walk emits them), a fault injector armed
 (crash points must see every intermediate hook), or the bandwidth model
 enabled (channel queueing is stateful per request).  Conflicts do *not*
-fence a block — the fused loops run the exact per-op conflict-resolution
-staging inline per line, which is what the epoch-fence mutation tests pin
+fence a block — the fused loops run the per-op conflict checks and
+resolution per line, which is what the epoch-fence mutation tests pin
 down.
 """
 
@@ -46,7 +49,7 @@ from ..errors import AbortReason, TransactionAborted
 from ..mem.address import DRAM_BASE
 from ..params import LINE_SIZE
 from .base import HTMSystem, TxHandle, _LINE_MASK, _WORD_MASK
-from .conflict import ConflictLocation, ResolutionPolicy
+from .conflict import ResolutionPolicy
 from .tss import TxStatus
 
 _GET_S = CoherenceRequest.GET_S
@@ -76,9 +79,7 @@ class BatchDispatcher:
         self.hierarchy = hierarchy
         self.controller = controller
         self._uses_directory = type(htm).USES_DIRECTORY
-        self._records_access = (
-            type(htm)._on_access_recorded is not HTMSystem._on_access_recorded
-        )
+        self._records_access = htm._records_access
         self._table2 = htm.config.resolution == ResolutionPolicy.TABLE2
         self._l1_hit_ns = hierarchy._l1_hit_ns
         self._llc_hit_ns = hierarchy._llc_hit_ns
@@ -107,104 +108,6 @@ class BatchDispatcher:
         if self.controller.dram_channel is not None:
             return "bandwidth"
         return None
-
-    # ---------------------------------------------------- conflict staging
-
-    def _onchip_resolution(
-        self, tx: TxHandle, line_addr: int, is_write: bool, conflict
-    ) -> None:
-        """The post-probe half of ``HTMSystem._onchip_conflict_check``.
-
-        The fused loops call ``directory.check_access`` themselves (exactly
-        once per access, like the per-op path) and only pay this resolution
-        staging when a conflict actually surfaced.
-        """
-        htm = self.htm
-        victims = [
-            v for v in sorted(conflict.victims) if htm.tss.is_active(v)
-        ]
-        if not victims:
-            return
-        htm.stats.incr("conflicts.onchip")
-        resolution = htm._resolve(
-            ConflictLocation.ON_CHIP,
-            tx.tx_id,
-            victims,
-            now_ns=tx.thread.clock_ns,
-        )
-        if resolution.requester_aborts:
-            htm._abort(
-                tx,
-                AbortReason.CONFLICT_COHERENCE,
-                line_addr=line_addr,
-                other_tx=victims[0],
-            )
-            raise TransactionAborted(AbortReason.CONFLICT_COHERENCE, tx.tx_id)
-        for victim_id in sorted(resolution.victims_to_abort):
-            htm._abort_tx_id(
-                victim_id,
-                AbortReason.CONFLICT_COHERENCE,
-                line_addr=line_addr,
-                other_tx=tx.tx_id,
-            )
-
-    def _offchip_resolution(
-        self,
-        requester: Optional[TxHandle],
-        line_addr: int,
-        hits,
-    ) -> None:
-        """The post-probe half of ``HTMSystem._offchip_conflict_check``.
-
-        The fused loops run the signature/exact-set probe themselves
-        (``htm._offchip_conflicts``, exactly once per triggering access)
-        and pay this resolution staging only on a hit.
-        """
-        htm = self.htm
-        htm.stats.incr("conflicts.offchip")
-        victims = [tx_id for tx_id, _ in hits]
-        truly = {tx_id: is_true for tx_id, is_true in hits}
-        if requester is None:
-            for victim_id in victims:
-                reason = (
-                    AbortReason.NON_TX_CONFLICT
-                    if truly[victim_id]
-                    else AbortReason.FALSE_POSITIVE
-                )
-                htm._abort_tx_id(victim_id, reason, line_addr=line_addr)
-            return
-        resolution = htm._resolve(
-            ConflictLocation.OFF_CHIP,
-            requester.tx_id,
-            victims,
-            now_ns=requester.thread.clock_ns,
-        )
-        if resolution.requester_aborts:
-            reason = (
-                AbortReason.CONFLICT_TRUE
-                if any(truly.values())
-                else AbortReason.FALSE_POSITIVE
-            )
-            true_victims = [v for v in victims if truly[v]]
-            htm._abort(
-                requester,
-                reason,
-                line_addr=line_addr,
-                other_tx=true_victims[0] if true_victims else victims[0],
-            )
-            raise TransactionAborted(reason, requester.tx_id)
-        for victim_id in sorted(resolution.victims_to_abort):
-            reason = (
-                AbortReason.CONFLICT_TRUE
-                if truly[victim_id]
-                else AbortReason.FALSE_POSITIVE
-            )
-            htm._abort_tx_id(
-                victim_id,
-                reason,
-                line_addr=line_addr,
-                other_tx=requester.tx_id,
-            )
 
     # ------------------------------------------------------- tx block paths
 
@@ -242,6 +145,8 @@ class BatchDispatcher:
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        onchip_resolution = htm._onchip_resolution
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
         llc_hit_ns = self._llc_hit_ns
         nvm_base = htm._nvm_base
@@ -256,12 +161,11 @@ class BatchDispatcher:
         on_l1_evict = hierarchy.on_l1_evict
         on_llc_evict = hierarchy.on_llc_evict
         l1_lookup = l1.lookup
-        l1_peek = l1.peek
         l1_fill = l1.fill
         llc_lookup = llc.lookup
         llc_peek = llc.peek
         llc_fill = llc.fill
-        entry = htm.tss.entry(tx_id)
+        entry = tx.entry
         write_buffer = tx.write_buffer
         written_lines = tx.written_lines
         nvm_logged = tx.nvm_logged_lines
@@ -286,12 +190,8 @@ class BatchDispatcher:
                 if uses_directory:
                     conflict = check_access(line_addr, tx_id, True)
                     if conflict is not None:
-                        self._onchip_resolution(tx, line_addr, True, conflict)
-                if offchip_always or (
-                    offchip_on_miss
-                    and l1_peek(line_addr) is None
-                    and llc_peek(line_addr) is None
-                ):
+                        onchip_resolution(tx, line_addr, conflict)
+                if offchip_always:
                     hits = offchip_conflicts(
                         domain_id,
                         line_addr,
@@ -300,12 +200,24 @@ class BatchDispatcher:
                         entry.overflowed if table2 else None,
                     )
                     if hits:
-                        self._offchip_resolution(tx, line_addr, hits)
+                        offchip_resolution(tx, line_addr, hits)
                 # -- hierarchy.access(is_write=True), fused -------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
                     latency = llc_hit_ns
                     if llc_lookup(line_addr) is None:
+                        if offchip_on_miss:
+                            # The per-op walk's ``on_llc_miss`` check: at
+                            # the miss, before anything is filled.
+                            hits = offchip_conflicts(
+                                domain_id,
+                                line_addr,
+                                True,
+                                tx_id,
+                                entry.overflowed if table2 else None,
+                            )
+                            if hits:
+                                offchip_resolution(tx, line_addr, hits)
                         if DRAM_BASE <= line_addr < dram_end:
                             latency += dram_demand_ns
                         else:
@@ -458,6 +370,8 @@ class BatchDispatcher:
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        onchip_resolution = htm._onchip_resolution
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
         llc_hit_ns = self._llc_hit_ns
         dram_end = self._dram_end
@@ -469,12 +383,11 @@ class BatchDispatcher:
         on_l1_evict = hierarchy.on_l1_evict
         on_llc_evict = hierarchy.on_llc_evict
         l1_lookup = l1.lookup
-        l1_peek = l1.peek
         l1_fill = l1.fill
         llc_lookup = llc.lookup
         llc_peek = llc.peek
         llc_fill = llc.fill
-        entry = htm.tss.entry(tx_id)
+        entry = tx.entry
         read_lines = tx.read_lines
         dram_overflowed = tx.dram_overflowed_lines
         nvm_overflowed = tx.nvm_overflowed_lines
@@ -502,12 +415,8 @@ class BatchDispatcher:
                 if uses_directory:
                     conflict = check_access(line_addr, tx_id, False)
                     if conflict is not None:
-                        self._onchip_resolution(tx, line_addr, False, conflict)
-                if offchip_always or (
-                    offchip_on_miss
-                    and l1_peek(line_addr) is None
-                    and llc_peek(line_addr) is None
-                ):
+                        onchip_resolution(tx, line_addr, conflict)
+                if offchip_always:
                     hits = offchip_conflicts(
                         domain_id,
                         line_addr,
@@ -516,12 +425,24 @@ class BatchDispatcher:
                         entry.overflowed if table2 else None,
                     )
                     if hits:
-                        self._offchip_resolution(tx, line_addr, hits)
+                        offchip_resolution(tx, line_addr, hits)
                 # -- hierarchy.access(is_write=False), fused ------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
                     latency = llc_hit_ns
                     if llc_lookup(line_addr) is None:
+                        if offchip_on_miss:
+                            # The per-op walk's ``on_llc_miss`` check: at
+                            # the miss, before anything is filled.
+                            hits = offchip_conflicts(
+                                domain_id,
+                                line_addr,
+                                False,
+                                tx_id,
+                                entry.overflowed if table2 else None,
+                            )
+                            if hits:
+                                offchip_resolution(tx, line_addr, hits)
                         if DRAM_BASE <= line_addr < dram_end:
                             latency += dram_demand_ns
                         else:
@@ -698,6 +619,7 @@ class BatchDispatcher:
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
         llc_hit_ns = self._llc_hit_ns
         dram_end = self._dram_end
@@ -711,14 +633,12 @@ class BatchDispatcher:
         store_word = controller.store_word
         rmw_word = controller.rmw_word
         l1_lookup = l1.lookup
-        l1_peek = l1.peek
         l1_fill = l1.fill
         llc_lookup = llc.lookup
         llc_peek = llc.peek
         llc_fill = llc.fill
         abort_tx_id = htm._abort_tx_id
         non_tx_conflict = AbortReason.NON_TX_CONFLICT
-        false_positive = AbortReason.FALSE_POSITIVE
 
         for addr in addrs:
             line_addr = addr & _LINE_MASK
@@ -732,6 +652,9 @@ class BatchDispatcher:
             value = None
             for is_write in (False, True):
                 # -- nontx_access staging, fused ------------------------
+                # The activity test is read once per access, before the
+                # directory aborts, exactly as ``nontx_access`` reads it.
+                check_on_miss = False
                 if active:
                     if is_write:
                         value = load_word(addr)
@@ -744,29 +667,24 @@ class BatchDispatcher:
                                     non_tx_conflict,
                                     line_addr=line_addr,
                                 )
-                    if offchip_always or (
-                        offchip_on_miss
-                        and l1_peek(line_addr) is None
-                        and llc_peek(line_addr) is None
-                    ):
+                    if offchip_always:
                         hits = offchip_conflicts(
-                            domain_id, line_addr, is_write, None, None
+                            domain_id, line_addr, is_write, None
                         )
                         if hits:
-                            htm.stats.incr("conflicts.offchip")
-                            for victim_id, is_true in hits:
-                                abort_tx_id(
-                                    victim_id,
-                                    non_tx_conflict
-                                    if is_true
-                                    else false_positive,
-                                    line_addr=line_addr,
-                                )
+                            offchip_resolution(None, line_addr, hits)
+                    check_on_miss = offchip_on_miss
                 # -- hierarchy.access, fused (tx_id None) ---------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
                     latency = llc_hit_ns
                     if llc_lookup(line_addr) is None:
+                        if check_on_miss:
+                            hits = offchip_conflicts(
+                                domain_id, line_addr, is_write, None
+                            )
+                            if hits:
+                                offchip_resolution(None, line_addr, hits)
                         if DRAM_BASE <= line_addr < dram_end:
                             latency += dram_demand_ns
                         else:

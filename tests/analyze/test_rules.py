@@ -73,7 +73,12 @@ class TestHook003:
     def test_unguarded_invocations_flagged(self):
         findings = findings_for("hook003_bad.py", "HOOK003")
         roots = {f.message.split("'")[1] for f in findings}
-        assert roots == {"self.fault_injector", "self.pre_compact", "injector"}
+        assert roots == {
+            "self.fault_injector",
+            "self.pre_compact",
+            "injector",
+            "self.hierarchy.on_llc_miss",
+        }
 
     def test_guarded_shapes_are_clean(self):
         assert findings_for("hook003_good.py", "HOOK003") == []

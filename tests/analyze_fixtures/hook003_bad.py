@@ -15,3 +15,6 @@ class Machine:
     def aliased(self, controller):
         injector = controller.fault_injector
         injector.observe(2)
+
+    def llc_miss(self, line_addr):
+        self.hierarchy.on_llc_miss(line_addr, False, None, 0)

@@ -20,6 +20,10 @@ class Machine:
             return
         injector.observe(2)
 
+    def llc_miss(self, line_addr, domain_id):
+        if domain_id is not None and self.hierarchy.on_llc_miss is not None:
+            self.hierarchy.on_llc_miss(line_addr, False, None, domain_id)
+
     def asserted(self):
         assert self.fault_injector is not None
         self.fault_injector.on_step(3)

@@ -146,14 +146,34 @@ class FencelessDispatcher(BatchDispatcher):
         return None
 
 
+def _ignore(*args):
+    return None
+
+
 class SilentConflictDispatcher(BatchDispatcher):
-    """Skips the conflict-resolution staging inside the fused loops."""
+    """Skips the conflict-resolution staging inside the fused loops.
 
-    def _onchip_resolution(self, tx, line_addr, is_write, conflict):
-        return None
+    The fused loops resolve through the HTM's ``_onchip_resolution`` and
+    ``_offchip_resolution``, read once per block; the mutant shadows both
+    on its HTM for the length of each block call.
+    """
 
-    def _offchip_resolution(self, requester, line_addr, hits):
-        return None
+    def _silent(self, loop, *args):
+        htm = self.htm
+        htm._onchip_resolution = htm._offchip_resolution = _ignore
+        try:
+            return loop(self, *args)
+        finally:
+            del htm._onchip_resolution, htm._offchip_resolution
+
+    def tx_write_block(self, *args):
+        return self._silent(BatchDispatcher.tx_write_block, *args)
+
+    def tx_read_block(self, *args):
+        return self._silent(BatchDispatcher.tx_read_block, *args)
+
+    def nontx_rmw_block(self, *args):
+        return self._silent(BatchDispatcher.nontx_rmw_block, *args)
 
 
 def test_fenceless_mutant_killed_by_capture_divergence():
