@@ -125,16 +125,18 @@ class CacheHierarchy:
         fill, and if it raises, the request leaves no tag, LRU, holder or
         MESI change behind.
 
-        Coherence resolution (the former ``_finish_access``) is inlined at
-        the tail: it runs exactly once per simulated memory operation, and
-        the method call was measurable.
+        Fills, the LLC eviction handler and coherence resolution are inlined:
+        block operations run this walk once per line, and the method calls
+        were measurable.
         """
         l1 = self.l1s[core_id]
         l1_meta = l1.lookup(line_addr)
         if l1_meta is not None:
             result = self._l1_hit
         else:
-            if self.llc.lookup(line_addr) is not None:
+            llc = self.llc
+            l1_holders = self.l1_holders
+            if llc.lookup(line_addr) is not None:
                 result = self._llc_hit
             else:
                 if domain_id is not None and self.on_llc_miss is not None:
@@ -144,15 +146,68 @@ class CacheHierarchy:
                     line_addr, now_ns + latency
                 )
                 # The LLC probe above already missed, so fill unconditionally.
-                _, llc_victims = self.llc.fill(line_addr)
+                _, llc_victims = llc.fill(line_addr)
                 for victim in llc_victims:
-                    self.handle_llc_eviction(victim)
+                    # Back-invalidate L1 copies, folding their freshest
+                    # state in.
+                    victim_line = victim.line_addr
+                    holders = l1_holders.pop(victim_line, None)
+                    if holders:
+                        for holder in holders:
+                            held = self.l1s[holder].remove(victim_line)
+                            if held is not None:
+                                victim.dirty = victim.dirty or held.dirty
+                                if held.tx_writer is not None:
+                                    victim.tx_writer = held.tx_writer
+                                if held.tx_readers:
+                                    readers = victim.tx_readers
+                                    if readers is None:
+                                        victim.tx_readers = set(held.tx_readers)
+                                    else:
+                                        readers.update(held.tx_readers)
+                    entry = self.directory.evict_line(victim_line)
+                    if victim.dirty and victim.tx_writer is None:
+                        # Non-speculative dirty data: the backing store
+                        # already holds the values (non-transactional stores
+                        # write through); count the write-back for bandwidth
+                        # accounting only.
+                        self.writebacks += 1
+                    if (
+                        victim.tx_writer is not None
+                        or victim.tx_readers
+                        or entry is not None
+                    ):
+                        if self.tracer is not None:
+                            readers = set(victim.tx_readers or ())
+                            if entry is not None:
+                                readers.update(entry.tx_sharers)
+                            self.tracer.emit(
+                                "llc.evict",
+                                line_addr=victim_line,
+                                writer=victim.tx_writer,
+                                readers=len(readers),
+                            )
+                        if self.on_llc_evict is not None:
+                            self.on_llc_evict(victim, entry)
                 result = AccessResult(latency, "mem")
-            l1_meta = self.fill_l1_after_miss(l1, core_id, line_addr)
+            # LLC evictions only ever *remove* L1 lines, so the L1 probe
+            # above still holds: install without a residency re-check.
+            l1_meta, l1_victims = l1.fill(line_addr)
+            holders = l1_holders.get(line_addr)
+            if holders is None:
+                l1_holders[line_addr] = {core_id}
+            else:
+                holders.add(core_id)
+            for victim in l1_victims:
+                self.handle_l1_eviction(core_id, victim)
         if is_write:
             # GetM: invalidate every other copy; this copy goes to M (a
             # sole E holder upgrades silently).
-            self.invalidate_other_l1s(core_id, line_addr)
+            holders = self.l1_holders.get(line_addr)
+            if holders is not None and (
+                len(holders) != 1 or core_id not in holders
+            ):
+                self.invalidate_other_l1s(core_id, line_addr)
             l1_meta.mesi = MesiState.MODIFIED
             l1_meta.dirty = True
             if tx_id is not None:
@@ -185,26 +240,7 @@ class CacheHierarchy:
                     readers.add(tx_id)
         return result
 
-    # -- fills and evictions -----------------------------------------------------
-
-    def fill_l1_after_miss(
-        self, l1: SetAssociativeArray, core_id: int, line_addr: int
-    ) -> CacheLineMeta:
-        """Install a line whose L1 probe already missed this access.
-
-        The access path probes the L1 first and LLC evictions only ever
-        *remove* L1 lines, so the residency re-check the old ``_fill_l1``
-        did here was always a miss — it is omitted.
-        """
-        meta, victims = l1.fill(line_addr)
-        holders = self.l1_holders.get(line_addr)
-        if holders is None:
-            self.l1_holders[line_addr] = {core_id}
-        else:
-            holders.add(core_id)
-        for victim in victims:
-            self.handle_l1_eviction(core_id, victim)
-        return meta
+    # -- evictions ----------------------------------------------------------------
 
     def handle_l1_eviction(self, core_id: int, victim: CacheLineMeta) -> None:
         holders = self.l1_holders.get(victim.line_addr)
@@ -227,42 +263,6 @@ class CacheHierarchy:
                     readers.update(victim.tx_readers)
         if victim.tx_writer is not None and self.on_l1_evict is not None:
             self.on_l1_evict(core_id, victim)
-
-    def handle_llc_eviction(self, victim: CacheLineMeta) -> None:
-        # Back-invalidate L1 copies, folding their freshest state in.
-        holders = self.l1_holders.pop(victim.line_addr, None)
-        if holders:
-            for core_id in holders:
-                l1_meta = self.l1s[core_id].remove(victim.line_addr)
-                if l1_meta is not None:
-                    victim.dirty = victim.dirty or l1_meta.dirty
-                    if l1_meta.tx_writer is not None:
-                        victim.tx_writer = l1_meta.tx_writer
-                    if l1_meta.tx_readers:
-                        readers = victim.tx_readers
-                        if readers is None:
-                            victim.tx_readers = set(l1_meta.tx_readers)
-                        else:
-                            readers.update(l1_meta.tx_readers)
-        entry = self.directory.evict_line(victim.line_addr)
-        if victim.dirty and victim.tx_writer is None:
-            # Non-speculative dirty data: the backing store already holds
-            # the values (non-transactional stores write through); count the
-            # write-back for bandwidth accounting only.
-            self.writebacks += 1
-        if victim.tx_writer is not None or victim.tx_readers or entry is not None:
-            if self.tracer is not None:
-                readers = set(victim.tx_readers or ())
-                if entry is not None:
-                    readers.update(entry.tx_sharers)
-                self.tracer.emit(
-                    "llc.evict",
-                    line_addr=victim.line_addr,
-                    writer=victim.tx_writer,
-                    readers=len(readers),
-                )
-            if self.on_llc_evict is not None:
-                self.on_llc_evict(victim, entry)
 
     def invalidate_other_l1s(self, core_id: int, line_addr: int) -> None:
         holders = self.l1_holders.get(line_addr)

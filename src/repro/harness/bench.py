@@ -27,9 +27,6 @@ slower::
 
 Baselines are machine-specific: reseed them (``-m smoke --out-dir .``) on
 the machine that will run the gate.
-
-The special name ``epochs`` benches the epoch dispatcher on its own: block
-read-modify-write sweeps of width 1 to 64 through a real System.
 """
 
 from __future__ import annotations
@@ -163,77 +160,6 @@ def _artifact(
     }
 
 
-#: Epoch widths benched by the ``epoch.w*`` family — the block sizes the
-#: dispatcher sees, from narrow blocks that fence to the per-op walk up to
-#: full sweeps.
-EPOCH_WIDTHS = (1, 4, 16, 64)
-
-
-def _epoch_points(full: bool) -> List[dict]:
-    """Time block dispatch end-to-end through a real System per width.
-
-    Each point issues the same number of *blocks* (epochs), so wider
-    points carry proportionally more simulated work — the natural shape
-    of a width sweep, and the one that weighs the aggregate toward the
-    widths where epoch dispatch actually runs.  The swept array cycles
-    four resident lines, so every access is an L1 hit and the point times
-    the dispatch path itself rather than shared fill/eviction work.  At
-    width 1 the dispatcher's fence drops every block to the per-op walk,
-    pinning the fallback overhead; the wide points time the fused loops.
-    """
-    from ..mem.address import MemoryKind
-    from ..params import HTMConfig, LINE_SIZE, MachineConfig
-    from ..runtime.system import System
-
-    blocks = 2_500 * (8 if full else 1)
-    points: List[dict] = []
-    for width in EPOCH_WIDTHS:
-        system = System(
-            MachineConfig.scaled(SMOKE_SCALE), HTMConfig(), seed=0xE90C
-        )
-        app = system.process("epoch")
-
-        def worker(api, width=width):
-            base = api.heap.alloc(64 * LINE_SIZE, MemoryKind.DRAM)
-            chunk = [base + (i % 4) * LINE_SIZE for i in range(width)]
-            for _ in range(blocks):
-                api.nontx.rmw_add_block(chunk, 1)
-                yield
-
-        app.thread(worker)
-        stopwatch = Stopwatch()
-        system.run()
-        points.append(
-            {
-                "key": ["kernel", f"epoch.w{width}"],
-                "label": f"epoch.w{width}",
-                "fingerprint": None,
-                "cached": False,
-                "elapsed_s": round(stopwatch.elapsed_s, 4),
-            }
-        )
-    return points
-
-
-def _epoch_artifact(args: argparse.Namespace) -> Tuple[dict, float]:
-    """The ``epochs`` bench figure: the epoch dispatch family on its own."""
-    stopwatch = Stopwatch()
-    points = _epoch_points(args.full)
-    total_s = stopwatch.elapsed_s
-    return {
-        "figure": "epochs",
-        "quick": not args.full,
-        "scale": args.scale,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "total_s": round(total_s, 3),
-        "points_total": len(points),
-        "simulated": len(points),
-        "cache_hits": 0,
-        "points": points,
-    }, total_s
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -248,8 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="FIGURE",
         help="dynamic figures to bench (default: all of "
         + ", ".join(sorted(FIGURE_GRIDS))
-        + "); the special name 'epochs' benches the epoch dispatch family "
-        "alone",
+        + ")",
     )
     parser.add_argument(
         "--full",
@@ -318,15 +243,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.scale = SMOKE_SCALE
 
     names = args.figures or sorted(FIGURE_GRIDS)
-    unknown = [
-        name for name in names
-        if name not in FIGURE_GRIDS and name != "epochs"
-    ]
+    unknown = [name for name in names if name not in FIGURE_GRIDS]
     if unknown:
         parser.error(
             f"unknown figure(s) {', '.join(unknown)}; benchable figures: "
             + ", ".join(sorted(FIGURE_GRIDS))
-            + ", epochs"
         )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     out_dir = Path(args.out_dir)
@@ -337,18 +258,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     compared_total = 0
     baselines_loaded = 0
     for name in names:
-        if name == "epochs":
-            artifact, total_s = _epoch_artifact(args)
-        else:
-            points = FIGURE_GRIDS[name](
-                quick=not args.full, scale=args.scale, seed=args.seed
-            )
-            stopwatch = Stopwatch()
-            outcome = run_grid_detailed(
-                points, jobs=args.jobs, cache=cache, verify_sample=args.verify
-            )
-            total_s = stopwatch.elapsed_s
-            artifact = _artifact(name, outcome, args, total_s)
+        points = FIGURE_GRIDS[name](
+            quick=not args.full, scale=args.scale, seed=args.seed
+        )
+        stopwatch = Stopwatch()
+        outcome = run_grid_detailed(
+            points, jobs=args.jobs, cache=cache, verify_sample=args.verify
+        )
+        total_s = stopwatch.elapsed_s
+        artifact = _artifact(name, outcome, args, total_s)
         if args.compare is not None:
             baseline, baseline_path = _load_baseline(args.compare, name)
             if baseline is None:

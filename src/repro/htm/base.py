@@ -23,7 +23,7 @@ loop — exactly the suspended-thread protocol of Section IV-E.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.setassoc import CacheLineMeta
@@ -94,21 +94,6 @@ class TxHandle:
             - self.nvm_overflowed_lines
         )
 
-    def buffered_value(self, addr: int) -> Optional[int]:
-        words = self.write_buffer.get(addr & _LINE_MASK)
-        if words is None:
-            return None
-        return words.get(addr & _WORD_MASK)
-
-    def buffer_write(self, addr: int, value: int) -> None:
-        buffer = self.write_buffer
-        line_addr = addr & _LINE_MASK
-        words = buffer.get(line_addr)
-        if words is None:
-            buffer[line_addr] = {addr & _WORD_MASK: value}
-        else:
-            words[addr & _WORD_MASK] = value
-
 
 class HTMSystem:
     """Base class for all evaluated HTM designs."""
@@ -135,10 +120,6 @@ class HTMSystem:
         self._active: Dict[int, TxHandle] = {}
         #: Optional trace capture (set by the System facade).
         self.capture = None
-        #: Epoch dispatcher (:class:`repro.htm.batch.BatchDispatcher`), set
-        #: by the System facade; the block-level context methods in
-        #: :mod:`repro.runtime.txapi` route through it.
-        self.batch = None
         #: Optional event tracer (set by ``repro.obs.attach_tracer``); hook
         #: sites guard with ``is not None`` and never import the obs package.
         self.tracer = None
@@ -154,7 +135,7 @@ class HTMSystem:
         self._offchip_always = trigger_on_hit and trigger_on_miss
         self._offchip_on_miss_only = trigger_on_miss and not trigger_on_hit
         if self._offchip_on_miss_only:
-            hierarchy.on_llc_miss = self._handle_llc_miss
+            hierarchy.on_llc_miss = self._offchip_check
         #: Does this design override the per-access bookkeeping hook?
         self._records_access = (
             type(self)._on_access_recorded is not HTMSystem._on_access_recorded
@@ -165,6 +146,7 @@ class HTMSystem:
         self._nvm_end = controller.address_space.nvm_end
         self._nvm_write_ns = machine.latency.nvm_write_ns
         self._dram_redo = config.dram_log_policy == DramLogPolicy.REDO
+        self._table2 = config.resolution == ResolutionPolicy.TABLE2
 
     # ---------------------------------------------------------------- hooks
 
@@ -178,7 +160,7 @@ class HTMSystem:
         never installed (the hardware nacks the request): if it were, later
         requests would hit on-chip, skip the signature check, and read
         uncommitted in-place data.  On-miss checks run from inside
-        :meth:`CacheHierarchy.access` through :meth:`_handle_llc_miss`.
+        :meth:`CacheHierarchy.access` through :meth:`_offchip_check`.
         """
         raise NotImplementedError
 
@@ -252,89 +234,144 @@ class HTMSystem:
 
     # --------------------------------------------------------------- access
 
-    def tx_read(self, tx: TxHandle, addr: int) -> int:
-        if tx.entry.status is not _ACTIVE:
-            self._check_doomed(tx)
-        line_addr = addr & _LINE_MASK
-        hierarchy = self.hierarchy
-        thread = tx.thread
-        tx_id = tx.tx_id
-        if self.USES_DIRECTORY:
-            conflict = hierarchy.directory.check_access(line_addr, tx_id, False)
-            if conflict is not None:
-                self._onchip_resolution(tx, line_addr, conflict)
-        if self._offchip_always:
-            self._offchip_conflict_check(tx, tx.domain_id, line_addr, False)
-        result = hierarchy.access(
-            tx.core_id, line_addr, False, tx_id, thread.clock_ns, tx.domain_id
-        )
-        thread.advance(result.latency_ns)
-        if tx.entry.status is not _ACTIVE:
-            self._check_doomed(tx)  # the access may have overflowed us to death
-        if self.USES_DIRECTORY:
-            hierarchy.directory.record_access(line_addr, tx_id, False)
-            if (
-                line_addr in tx.dram_overflowed_lines
-                or line_addr in tx.nvm_overflowed_lines
-            ):
-                # Re-fetching one's own spilled line brings *speculative*
-                # data back on-chip; ownership must be re-established or a
-                # later reader would see it as innocent shared data.
-                hierarchy.directory.record_access(line_addr, tx_id, True)
-        tx.read_lines.add(line_addr)
-        tx.reads += 1
-        if self.capture is not None:
-            self.capture.op(tx_id, False, addr)
-        if self._records_access:
-            self._on_access_recorded(tx, line_addr, is_write=False)
-        if self._dram_redo and line_addr in tx.dram_overflowed_lines:
-            # Read indirection: the new value lives in the redo log.
-            thread.advance(self.controller.redo_dram_indirection_latency())
-            self.stats.incr("dram.redo_read_indirections")
-        words = tx.write_buffer.get(line_addr)
-        if words is not None:
-            buffered = words.get(addr & _WORD_MASK)
-            if buffered is not None:
-                return buffered
-        return self.controller.load_word(addr)
+    def tx_read(self, tx: TxHandle, addr: int, nbytes: int = WORD_SIZE) -> int:
+        """Read ``[addr, addr + nbytes)`` transactionally, one access per line.
 
-    def tx_write(self, tx: TxHandle, addr: int, value: int) -> None:
-        if tx.entry.status is not _ACTIVE:
-            self._check_doomed(tx)
-        line_addr = addr & _LINE_MASK
+        Returns the word at ``addr``: only the first line's value is loaded,
+        the rest of a block is scanned for its footprint and timing.  With
+        ``nbytes <= 0`` nothing is touched and the result is 0.
+        """
+        entry = tx.entry
         hierarchy = self.hierarchy
+        access = hierarchy.access
+        directory = hierarchy.directory if self.USES_DIRECTORY else None
+        offchip_always = self._offchip_always
+        capture = self.capture
+        records_access = self._records_access
         thread = tx.thread
         tx_id = tx.tx_id
-        if self.USES_DIRECTORY:
-            conflict = hierarchy.directory.check_access(line_addr, tx_id, True)
-            if conflict is not None:
-                self._onchip_resolution(tx, line_addr, conflict)
-        if self._offchip_always:
-            self._offchip_conflict_check(tx, tx.domain_id, line_addr, True)
-        result = hierarchy.access(
-            tx.core_id, line_addr, True, tx_id, thread.clock_ns, tx.domain_id
-        )
-        thread.advance(result.latency_ns)
-        if tx.entry.status is not _ACTIVE:
-            self._check_doomed(tx)
-        if self.USES_DIRECTORY:
-            hierarchy.directory.record_access(line_addr, tx_id, True)
-        tx.written_lines.add(line_addr)
-        tx.writes += 1
-        if self.capture is not None:
-            self.capture.op(tx_id, True, addr)
-        if self._records_access:
-            self._on_access_recorded(tx, line_addr, is_write=True)
-        if (
-            self._nvm_base <= addr < self._nvm_end
-            and line_addr not in tx.nvm_logged_lines
-        ):
-            # Hardware redo logging streams the record out at store time;
-            # ADR makes it durable once the controller accepts it.
-            tx.nvm_logged_lines.add(line_addr)
-            thread.advance(self._nvm_write_ns)
-            self.stats.incr("nvm.log_appends")
-        tx.buffer_write(addr, value)
+        core_id = tx.core_id
+        domain_id = tx.domain_id
+        read_lines = tx.read_lines
+        value = 0
+        offset = 0
+        while offset < nbytes:
+            cur_addr = addr + offset
+            line_addr = cur_addr & _LINE_MASK
+            if entry.status is not _ACTIVE:
+                self._check_doomed(tx)
+            if directory is not None:
+                conflict = directory.check_access(line_addr, tx_id, False)
+                if conflict is not None:
+                    self._onchip_resolution(tx, line_addr, conflict)
+            if offchip_always:
+                self._offchip_check(line_addr, False, tx_id, domain_id)
+            latency = access(
+                core_id, line_addr, False, tx_id, thread.clock_ns, domain_id
+            ).latency_ns
+            thread.clock_ns += latency
+            if entry.status is not _ACTIVE:
+                # The access may have overflowed us to death.
+                self._check_doomed(tx)
+            if directory is not None:
+                directory.record_access(line_addr, tx_id, False)
+                if (
+                    line_addr in tx.dram_overflowed_lines
+                    or line_addr in tx.nvm_overflowed_lines
+                ):
+                    # Re-fetching one's own spilled line brings *speculative*
+                    # data back on-chip; ownership must be re-established or
+                    # a later reader would see it as innocent shared data.
+                    directory.record_access(line_addr, tx_id, True)
+            read_lines.add(line_addr)
+            tx.reads += 1
+            if capture is not None:
+                capture.op(tx_id, False, cur_addr)
+            if records_access:
+                self._on_access_recorded(tx, line_addr, is_write=False)
+            if self._dram_redo and line_addr in tx.dram_overflowed_lines:
+                # Read indirection: the new value lives in the redo log.
+                thread.advance(self.controller.redo_dram_indirection_latency())
+                self.stats.incr("dram.redo_read_indirections")
+            if offset == 0:
+                words = tx.write_buffer.get(line_addr)
+                value = None if words is None else words.get(cur_addr & _WORD_MASK)
+                if value is None:
+                    value = self.controller.load_word(cur_addr)
+            offset += LINE_SIZE
+        return value
+
+    def tx_write(
+        self, tx: TxHandle, addr: int, value: int, nbytes: int = WORD_SIZE
+    ) -> None:
+        """Write ``value`` transactionally, once per line of the span.
+
+        One access per line of ``[addr, addr + nbytes)``, buffering
+        ``value`` at that line's word; with ``nbytes <= 0`` nothing is
+        touched.
+        """
+        entry = tx.entry
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        directory = hierarchy.directory if self.USES_DIRECTORY else None
+        offchip_always = self._offchip_always
+        capture = self.capture
+        records_access = self._records_access
+        nvm_base = self._nvm_base
+        nvm_end = self._nvm_end
+        thread = tx.thread
+        tx_id = tx.tx_id
+        core_id = tx.core_id
+        domain_id = tx.domain_id
+        written_lines = tx.written_lines
+        nvm_logged = tx.nvm_logged_lines
+        write_buffer = tx.write_buffer
+        log_appends = 0
+        offset = 0
+        try:
+            while offset < nbytes:
+                cur_addr = addr + offset
+                line_addr = cur_addr & _LINE_MASK
+                if entry.status is not _ACTIVE:
+                    self._check_doomed(tx)
+                if directory is not None:
+                    conflict = directory.check_access(line_addr, tx_id, True)
+                    if conflict is not None:
+                        self._onchip_resolution(tx, line_addr, conflict)
+                if offchip_always:
+                    self._offchip_check(line_addr, True, tx_id, domain_id)
+                latency = access(
+                    core_id, line_addr, True, tx_id, thread.clock_ns, domain_id
+                ).latency_ns
+                thread.clock_ns += latency
+                if entry.status is not _ACTIVE:
+                    self._check_doomed(tx)
+                if directory is not None:
+                    directory.record_access(line_addr, tx_id, True)
+                written_lines.add(line_addr)
+                tx.writes += 1
+                if capture is not None:
+                    capture.op(tx_id, True, cur_addr)
+                if records_access:
+                    self._on_access_recorded(tx, line_addr, is_write=True)
+                if nvm_base <= cur_addr < nvm_end and line_addr not in nvm_logged:
+                    # Hardware redo logging streams the record out at store
+                    # time; ADR makes it durable once the controller accepts
+                    # it.
+                    nvm_logged.add(line_addr)
+                    thread.clock_ns += self._nvm_write_ns
+                    log_appends += 1
+                words = write_buffer.get(line_addr)
+                if words is None:
+                    write_buffer[line_addr] = {cur_addr & _WORD_MASK: value}
+                else:
+                    words[cur_addr & _WORD_MASK] = value
+                offset += LINE_SIZE
+        finally:
+            # Counter increments commute: one call per write, also on the
+            # abort unwind, gives the same totals as one per line.
+            if log_appends:
+                self.stats.incr("nvm.log_appends", log_appends)
 
     # ------------------------------------------------------- context switches
 
@@ -373,31 +410,16 @@ class HTMSystem:
         line_addr = addr & _LINE_MASK
         # Fast path: with no transaction active anywhere there is nothing to
         # conflict with — the directory holds no Tx fields and the domain
-        # registry holds no signatures, so both checks are vacuous.  The
-        # test is read once: directory aborts below may empty ``_active``,
-        # and the off-chip check must still run as it was issued.
-        check_domain = None
-        if self._active:
-            check_domain = domain_id
-            if self.USES_DIRECTORY:
-                conflict = self.hierarchy.directory.check_access(
-                    line_addr, None, is_write
-                )
-                if conflict is not None:
-                    for victim_id in sorted(conflict.victims):
-                        self._abort_tx_id(
-                            victim_id,
-                            AbortReason.NON_TX_CONFLICT,
-                            line_addr=line_addr,
-                        )
-            if self._offchip_always:
-                # Check before the fill: the victims' rollback must restore
-                # the in-place data this request is about to read.
-                self._offchip_conflict_check(None, domain_id, line_addr, is_write)
-        result = self.hierarchy.access(
-            core_id, line_addr, is_write, None, thread.clock_ns, check_domain
+        # registry holds no signatures, so both checks are vacuous.
+        check_domain = (
+            self._nontx_staging(line_addr, is_write, domain_id)
+            if self._active
+            else None
         )
-        thread.advance(result.latency_ns)
+        latency = self.hierarchy.access(
+            core_id, line_addr, is_write, None, thread.clock_ns, check_domain
+        ).latency_ns
+        thread.clock_ns += latency
         if is_write:
             # ``value is None`` means "dirty the line but let the caller
             # manage the data" (slow paths buffer NVM values for atomicity).
@@ -405,6 +427,79 @@ class HTMSystem:
                 self.controller.store_word(addr, value)
             return 0
         return self.controller.load_word(addr)
+
+    def nontx_rmw(
+        self,
+        thread: SimThread,
+        core_id: int,
+        domain_id: int,
+        addrs: Iterable[int],
+        delta: int,
+    ) -> None:
+        """``mem[a] += delta`` for each address, outside any transaction.
+
+        Per address, the non-transactional read (staging, GetS) and then the
+        write (staging, GetM) of :meth:`nontx_access`.  With a transaction
+        active at the write, its staging may roll a victim back, so the
+        value is loaded before it — where the read returns it — and stored
+        after the walk; otherwise nothing can touch the word between the
+        read and the store, and one ``rmw_word`` does the update.
+        """
+        access = self.hierarchy.access
+        controller = self.controller
+        active = self._active
+        for addr in addrs:
+            line_addr = addr & _LINE_MASK
+            check_domain = (
+                self._nontx_staging(line_addr, False, domain_id)
+                if active
+                else None
+            )
+            latency = access(
+                core_id, line_addr, False, None, thread.clock_ns, check_domain
+            ).latency_ns
+            thread.clock_ns += latency
+            if active:
+                value = controller.load_word(addr)
+                check_domain = self._nontx_staging(line_addr, True, domain_id)
+                latency = access(
+                    core_id, line_addr, True, None, thread.clock_ns, check_domain
+                ).latency_ns
+                thread.clock_ns += latency
+                controller.store_word(addr, value + delta)
+            else:
+                latency = access(
+                    core_id, line_addr, True, None, thread.clock_ns, None
+                ).latency_ns
+                thread.clock_ns += latency
+                controller.rmw_word(addr, delta)
+
+    def _nontx_staging(
+        self, line_addr: int, is_write: bool, domain_id: int
+    ) -> int:
+        """Conflict staging of a non-transactional access issued while some
+        transaction is active; returns the domain its LLC miss checks.
+
+        The caller reads the activity test once, before the directory
+        aborts below may empty ``_active``: the off-chip check must still
+        run as it was issued.
+        """
+        if self.USES_DIRECTORY:
+            conflict = self.hierarchy.directory.check_access(
+                line_addr, None, is_write
+            )
+            if conflict is not None:
+                for victim_id in sorted(conflict.victims):
+                    self._abort_tx_id(
+                        victim_id,
+                        AbortReason.NON_TX_CONFLICT,
+                        line_addr=line_addr,
+                    )
+        if self._offchip_always:
+            # Check before the fill: the victims' rollback must restore the
+            # in-place data this request is about to read.
+            self._offchip_check(line_addr, is_write, None, domain_id)
+        return domain_id
 
     # ------------------------------------------------------------ conflicts
 
@@ -440,32 +535,30 @@ class HTMSystem:
                 other_tx=tx.tx_id,
             )
 
-    def _handle_llc_miss(
-        self, line_addr: int, is_write: bool, tx_id: Optional[int], domain_id: int
-    ) -> None:
-        """The hierarchy's ``on_llc_miss`` hook: the off-chip check of an
-        access that missed the LLC, run before the line is filled."""
-        requester = self._active[tx_id] if tx_id is not None else None
-        self._offchip_conflict_check(requester, domain_id, line_addr, is_write)
-
-    def _offchip_conflict_check(
+    def _offchip_check(
         self,
-        requester: Optional[TxHandle],
-        domain_id: int,
         line_addr: int,
         is_write: bool,
+        tx_id: Optional[int],
+        domain_id: int,
     ) -> None:
-        exclude = requester.tx_id if requester is not None else None
+        """The off-chip conflict check of one access, run before its fill.
+
+        Installed as the hierarchy's ``on_llc_miss`` hook by designs that
+        check only on LLC misses; designs that check every access call it
+        before the cache walk.  ``tx_id`` is ``None`` for a
+        non-transactional requester.
+        """
+        requester = self._active[tx_id] if tx_id is not None else None
         # The probe short-circuit encodes Table II; under other policies the
         # full hit list must be gathered.
         requester_overflowed = (
             requester.entry.overflowed
-            if requester is not None
-            and self.config.resolution == ResolutionPolicy.TABLE2
+            if requester is not None and self._table2
             else None
         )
         hits = self._offchip_conflicts(
-            domain_id, line_addr, is_write, exclude, requester_overflowed
+            domain_id, line_addr, is_write, tx_id, requester_overflowed
         )
         if hits:
             self._offchip_resolution(requester, line_addr, hits)
@@ -478,9 +571,7 @@ class HTMSystem:
     ) -> None:
         """Resolve off-chip hits: ``(victim tx, is-true-conflict)`` pairs.
 
-        The post-probe half of :meth:`_offchip_conflict_check`, for callers
-        that run the probe themselves.  A non-transactional requester
-        (``None``) always wins.
+        A non-transactional requester (``None``) always wins.
         """
         self.stats.incr("conflicts.offchip")
         victims = [tx_id for tx_id, _ in hits]

@@ -49,10 +49,11 @@ class BackingStore:
     def rmw(self, addr: int, delta: int) -> None:
         """Fused read-modify-write of one word: load + store in one call.
 
-        Exactly ``store(addr, load(addr) + delta)``; the epoch dispatcher's
-        sweep path issues it per address, paying one method call and one
-        mask instead of two of each (the value is an int by construction,
-        so the store-side type check is vacuous).
+        Exactly ``store(addr, load(addr) + delta)``; the non-transactional
+        read-modify-write sweep (``HTMSystem.nontx_rmw``) issues it per
+        address, paying one method call and one mask instead of two of each
+        (the value is an int by construction, so the store-side type check
+        is vacuous).
         """
         key = addr & _WORD_MASK
         words = self._words

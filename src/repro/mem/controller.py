@@ -156,10 +156,10 @@ class MemoryController:
         """Fused ``store_word(addr, load_word(addr) + delta)``.
 
         One address classification instead of two.  Only legal when nothing
-        can touch the word between the load and the store — the epoch
-        dispatcher's read-modify-write sweep calls it when no transaction is
-        active anywhere (so no conflict staging, and therefore no rollback,
-        can interleave).  The NVM branch keeps the exact composed sequence
+        can touch the word between the load and the store —
+        ``HTMSystem.nontx_rmw`` calls it when no transaction is active
+        anywhere (so no conflict staging, and therefore no rollback, can
+        interleave).  The NVM branch keeps the exact composed sequence
         because of the DRAM-cache lookup and store-hook ordering.
         """
         if DRAM_BASE <= addr < self._dram_end:

@@ -8,11 +8,9 @@ report::
     python -m repro profile hashmap --sort tottime --top 10
     python -m repro profile fig2 --points 2
 
-The report has three sections: the simulator phases (exclusive time —
-see :mod:`repro.perf.phases`), the top functions by cumulative or total
-time, and the epoch dispatcher's counters (fused epochs, mean width, and
-why the rest fell back to the per-op walk).  ``--json`` emits the same data
-machine-readably on stdout.
+The report has two sections: the simulator phases (exclusive time — see
+:mod:`repro.perf.phases`) and the top functions by cumulative or total
+time.  ``--json`` emits the same data machine-readably on stdout.
 
 Profiled runs are slower than plain runs (tracing overhead); use
 ``python -m repro bench`` for honest wall-clock numbers.
@@ -95,22 +93,14 @@ def build_report(
             f"unknown profile target {target!r}; choose from: "
             + ", ".join(choices)
         )
-    # Every run also reports its epoch counters: how many blocks flushed
-    # fused, how wide, and why the rest fenced.
-    systems: List[object] = []
-
-    def run_one(spec: ExperimentSpec, label: Optional[str]):
-        return run_experiment(spec, label, instrument=systems.append)
-
     timers = PhaseTimers()
     stopwatch = Stopwatch()
     with timers:
         _, hotspots = profile_callable(
-            lambda: [run_one(spec, label) for spec, label in runs],
+            lambda: [run_experiment(spec, label) for spec, label in runs],
             sort=sort,
             top=top,
         )
-    epochs = [system.epoch_stats.as_dict() for system in systems]
     return {
         "target": target,
         "kind": kind,
@@ -121,28 +111,7 @@ def build_report(
         "top": top,
         "wall_s": round(stopwatch.elapsed_s, 3),
         "phases": timers.report(),
-        "epoch_stats": _merge_epochs(epochs),
         "hotspots": [spot.to_dict() for spot in hotspots],
-    }
-
-
-def _merge_epochs(summaries: List[dict]) -> dict:
-    """Fold per-point epoch counters into one figure-level summary."""
-    epochs = sum(s["epochs"] for s in summaries)
-    batched = sum(s["batched_ops"] for s in summaries)
-    scalar = sum(s["scalar_ops"] for s in summaries)
-    fences: dict = {}
-    for summary in summaries:
-        for reason, count in summary["fences"].items():
-            fences[reason] = fences.get(reason, 0) + count
-    total = batched + scalar
-    return {
-        "epochs": epochs,
-        "batched_ops": batched,
-        "scalar_ops": scalar,
-        "mean_batch_width": round(batched / epochs, 2) if epochs else 0.0,
-        "scalar_fallback_ratio": round(scalar / total, 4) if total else 0.0,
-        "fences": dict(sorted(fences.items())),
     }
 
 
@@ -181,14 +150,6 @@ def _print_report(report: dict) -> None:
             spot_rows,
             title=f"top {report['top']} by {report['sort']}",
         )
-    )
-    epoch = report["epoch_stats"]
-    print()
-    print(
-        f"epoch dispatch: {epoch['epochs']} epochs, "
-        f"mean width {epoch['mean_batch_width']:.1f}, "
-        f"{epoch['scalar_fallback_ratio']:.1%} per-op fallback"
-        + (f", fences {epoch['fences']}" if epoch["fences"] else "")
     )
 
 

@@ -1,21 +1,16 @@
 """Manual phase timers over the simulator's hot entry points.
 
 The profiler's function-level view is precise but scattered; performance
-discussions about the simulator happen in terms of six *phases*:
+discussions about the simulator happen in terms of five *phases*:
 
 * ``access`` — the cache hierarchy servicing loads and stores,
 * ``signature`` — Bloom-signature probes for off-chip conflict checks,
 * ``coherence`` — directory lookups and transactional bookkeeping,
 * ``commit`` — the commit path (log sealing, write-set publication),
-* ``stats`` — counter and histogram bookkeeping,
-* ``epoch`` — the epoch dispatcher's fused block flushes.
+* ``stats`` — counter and histogram bookkeeping.
 
-Whole blocks run inside the epoch dispatcher's fused loops, so the cache
-walk of a fused block is attributed to ``epoch`` rather than ``access``;
-word operations, and blocks the dependency fence sends down the per-op
-walk, still land in ``access``.  The staging calls the fused loops make
-(directory checks, signature probes, counter flushes) keep landing in
-their own phases because attribution is exclusive.
+Block operations run the same per-line walk as word operations, so every
+line a block touches lands in ``access``.
 
 :class:`PhaseTimers` patches the phase entry points at *class* level
 (``StatsRegistry`` is slotted, so instances cannot be patched, and a class
@@ -38,7 +33,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Tuple
 
 #: Phase names, in the order reports print them.
-PHASES = ("access", "signature", "coherence", "commit", "stats", "epoch")
+PHASES = ("access", "signature", "coherence", "commit", "stats")
 
 
 class PhaseTimers:
@@ -61,7 +56,6 @@ class PhaseTimers:
         from ..cache.hierarchy import CacheHierarchy
         from ..htm import designs
         from ..htm.base import HTMSystem
-        from ..htm.batch import BatchDispatcher
         from ..sim.stats import Histogram, StatsRegistry
 
         self._wrap(CacheHierarchy, "access", "access")
@@ -73,13 +67,6 @@ class PhaseTimers:
         self._wrap(StatsRegistry, "incr", "stats")
         self._wrap(StatsRegistry, "record", "stats")
         self._wrap(Histogram, "record", "stats")
-        # The epoch flushes: whole blocks run inside these
-        # three fused entry points, whose inlined cache walk would otherwise
-        # vanish from the phase totals.  Nested staging calls (directory,
-        # signatures, stats) subtract out via the exclusive-time stack.
-        self._wrap(BatchDispatcher, "tx_read_block", "epoch")
-        self._wrap(BatchDispatcher, "tx_write_block", "epoch")
-        self._wrap(BatchDispatcher, "nontx_rmw_block", "epoch")
         return self
 
     def detach(self) -> None:

@@ -22,13 +22,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cache.hierarchy import CacheHierarchy
-from ..htm.batch import BatchDispatcher
 from ..htm.designs import build_htm
 from ..htm.fallback import FallbackLockTable
 from ..htm.recovery import CrashController, CrashReport, RecoveryReport
 from ..mem.controller import MemoryController
 from ..params import HTMConfig, MachineConfig
-from ..sim.engine import Engine, EpochStats
+from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.stats import StatsRegistry
 from ..sim.trace import TraceRecorder
@@ -40,8 +39,7 @@ from .process import SimProcess
 class System:
     """A fully assembled machine: cores, caches, memories, HTM, and runtime."""
 
-    #: Name of the execution engine (fused epochs with a per-op fence
-    #: fallback), recorded in benchmark contexts.
+    #: Name of the execution engine, recorded in benchmark contexts.
     engine_name = "batched"
 
     def __init__(
@@ -66,10 +64,6 @@ class System:
             self.machine, self.htm_config, self.controller, self.hierarchy,
             self.stats,
         )
-        # Block operations flush through fused epochs; the dispatcher's
-        # dependency fence drops a block to the per-op walk whenever its
-        # ordering could be observed.
-        self.htm.batch = BatchDispatcher(self.htm, self.engine.epoch_stats)
         self.heap = TxHeap(self.controller)
         if capture_trace:
             space = self.controller.address_space
@@ -107,14 +101,13 @@ class System:
         return self.engine.now()
 
     @property
-    def epoch_stats(self) -> EpochStats:
-        """The epoch dispatcher's counters (fused epochs, fences).
+    def epoch_stats(self) -> None:
+        """Always ``None``: blocks no longer run as fused epochs.
 
-        Diagnostic only: epoch counters never enter
-        :class:`~repro.harness.metrics.RunResult` or any export, so results
-        do not depend on how many blocks fused.
+        Kept for the benchmark harness, which reads a falsy value as zero
+        epochs.
         """
-        return self.engine.epoch_stats
+        return None
 
     def throughput_ops_per_ms(self) -> float:
         """Committed operations per simulated millisecond."""

@@ -98,16 +98,14 @@ class TxContext(MemoryContext):
     def write_word(self, addr: int, value: int) -> None:
         self._htm.tx_write(self._handle, addr, value)
 
-    # Block operations route through the epoch dispatcher: a whole block
-    # issued at one scheduler step is an epoch, flushed through fused loops
-    # that are bit-identical to the per-word walk (which the dispatcher's
-    # fence falls back to).  Word operations above never batch.
+    # A block is one call: the per-line loop runs inside ``tx_read`` /
+    # ``tx_write``, with the same per-line protocol as a word access.
 
     def read_block(self, addr: int, nbytes: int) -> int:
-        return self._htm.batch.tx_read_block(self._handle, addr, nbytes)
+        return self._htm.tx_read(self._handle, addr, nbytes)
 
     def write_block(self, addr: int, nbytes: int, tag: int) -> None:
-        self._htm.batch.tx_write_block(self._handle, addr, nbytes, tag)
+        self._htm.tx_write(self._handle, addr, tag, nbytes)
 
     def abort(self) -> None:
         """Explicitly abort (``_xabort()``)."""
@@ -148,10 +146,9 @@ class DirectContext(MemoryContext):
         """Read-modify-write sweep: ``mem[a] += delta`` for each address.
 
         Exactly equivalent to ``write_word(a, read_word(a) + delta)`` per
-        address; the co-runner sweep loops issue it so the epoch dispatcher
-        can fuse the whole chunk.
+        address, as one call for the whole chunk (``HTMSystem.nontx_rmw``).
         """
-        self._htm.batch.nontx_rmw_block(
+        self._htm.nontx_rmw(
             self._thread, self._core_id, self._domain_id, addrs, delta
         )
 

@@ -86,9 +86,6 @@ class Engine:
         #: Optional event tracer (see :mod:`repro.obs`): scheduling events
         #: (block/wake/done) are emitted when attached, else zero cost.
         self.tracer = None
-        #: Counters the epoch dispatcher (:mod:`repro.htm.batch`) reports
-        #: into; diagnostic only, never part of a run's results.
-        self.epoch_stats = EpochStats()
 
     @property
     def threads(self) -> List[SimThread]:
@@ -237,73 +234,6 @@ class Engine:
 
     def all_done(self) -> bool:
         return all(t.state is ThreadState.DONE for t in self._threads)
-
-
-class EpochStats:
-    """Counters for the epoch dispatcher's fused block paths.
-
-    An *epoch* is one fused block dispatch: the set of memory operations a
-    thread issues at a single scheduler step (one generator resumption) that
-    the :class:`repro.htm.batch.BatchDispatcher` proved free of ordering
-    hazards and flushed through the fused loops in one call.  Epochs never
-    span scheduler steps, which is why fused interleaving is identical to
-    per-op interleaving by construction: the min-clock run loop of
-    :class:`Engine` is the same for both.
-
-    ``scalar_ops`` counts operations the dependency fence forced back onto
-    the per-op path; ``fences`` records why, keyed by reason
-    (``"tracer"``, ``"capture"``, ``"fault"``, ``"bandwidth"``,
-    ``"narrow"``, ``"conflict"``, ...).
-    """
-
-    __slots__ = ("epochs", "batched_ops", "scalar_ops", "fences")
-
-    def __init__(self) -> None:
-        self.epochs = 0
-        self.batched_ops = 0
-        self.scalar_ops = 0
-        self.fences: dict = {}
-
-    # -- recording (called from the dispatcher's hot paths) -----------------
-
-    def note_flush(self, width: int) -> None:
-        """One epoch of ``width`` operations went through a fused path."""
-        self.epochs += 1
-        self.batched_ops += width
-
-    def note_scalar(self, width: int, reason: str) -> None:
-        """``width`` operations fell back to per-op dispatch."""
-        self.scalar_ops += width
-        fences = self.fences
-        fences[reason] = fences.get(reason, 0) + 1
-
-    # -- derived ------------------------------------------------------------
-
-    @property
-    def mean_batch_width(self) -> float:
-        return self.batched_ops / self.epochs if self.epochs else 0.0
-
-    @property
-    def scalar_fallback_ratio(self) -> float:
-        total = self.batched_ops + self.scalar_ops
-        return self.scalar_ops / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batched_ops": self.batched_ops,
-            "scalar_ops": self.scalar_ops,
-            "mean_batch_width": self.mean_batch_width,
-            "scalar_fallback_ratio": self.scalar_fallback_ratio,
-            "fences": dict(sorted(self.fences.items())),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EpochStats(epochs={self.epochs}, "
-            f"width={self.mean_batch_width:.1f}, "
-            f"fallback={self.scalar_fallback_ratio:.1%})"
-        )
 
 
 def run_threads(bodies: Iterable[Callable[[SimThread], ThreadBody]]) -> Engine:

@@ -62,8 +62,7 @@ class MemBoundWorkload(Workload):
             # One chunk of addresses per scheduling yield; the addresses are
             # a pure function of the sweep geometry, so they are computed
             # once up front and each chunk issues as a single read-modify-
-            # write block: one fused epoch, or read_word/write_word pairs
-            # when the dispatcher's fence forces the per-op walk.
+            # write block.
             base = self.base
             array_lines = self.array_lines
             chunks = []

@@ -63,40 +63,3 @@ class TestTraceGridParallel:
             assert run_result_to_dict(a.result) == run_result_to_dict(b.result)
             assert a.events == b.events  # the stream survives pickling intact
             assert a.dropped == b.dropped
-
-
-class TestTraceNeutralityPerDispatchPath:
-    """The tracer fences every block onto the per-op walk.
-
-    Per-op events must interleave exactly as the per-op walk emits them, so
-    a traced run must never fuse a block.  Forcing the per-op walk through
-    the dispatcher's fence must therefore leave the traced event stream and
-    metrics unchanged; a block that slipped past the tracer fence would show
-    up as missing events.
-    """
-
-    def _trace_both(self, spec, monkeypatch):
-        from repro.htm.batch import BatchDispatcher
-
-        default = trace_experiment(spec)
-        with monkeypatch.context() as patch:
-            patch.setattr(BatchDispatcher, "_fence_reason", lambda self: "oracle")
-            per_op = trace_experiment(spec)
-        return default, per_op
-
-    def test_events_and_metrics_identical_to_per_op(
-        self, tiny_spec, monkeypatch
-    ):
-        default, per_op = self._trace_both(tiny_spec, monkeypatch)
-        assert run_result_to_dict(default.result) == run_result_to_dict(
-            per_op.result
-        )
-        assert default.events == per_op.events
-        assert default.dropped == per_op.dropped
-
-    def test_contended_events_identical_to_per_op(
-        self, contended_spec, monkeypatch
-    ):
-        default, per_op = self._trace_both(contended_spec, monkeypatch)
-        assert default.result.aborts > 0, "spec not contended enough to test"
-        assert default.events == per_op.events

@@ -6,7 +6,6 @@ from repro.cache.directory import Directory
 from repro.cache.hierarchy import CacheHierarchy
 from repro.htm import designs
 from repro.htm.base import HTMSystem
-from repro.htm.batch import BatchDispatcher
 from repro.perf.phases import PHASES, PhaseTimers
 from repro.sim.stats import Histogram, StatsRegistry
 
@@ -21,9 +20,6 @@ def _phase_entry_points():
         (StatsRegistry, "incr"),
         (StatsRegistry, "record"),
         (Histogram, "record"),
-        (BatchDispatcher, "tx_read_block"),
-        (BatchDispatcher, "tx_write_block"),
-        (BatchDispatcher, "nontx_rmw_block"),
     }
 
 
@@ -125,32 +121,3 @@ class TestAccounting:
         for phase in PHASES:
             assert timers.calls[phase] > 0, f"phase {phase!r} never fired"
         assert timers.total_s() > 0.0
-
-    def test_epoch_phase_fires_under_batched(self):
-        from repro.harness.config import ExperimentSpec, consolidated
-        from repro.harness.runner import run_experiment
-        from repro.params import HTMConfig
-        from repro.workloads import WorkloadParams
-
-        spec = ExperimentSpec(
-            name="phases-epoch",
-            htm=HTMConfig(),
-            benchmarks=consolidated(
-                "hashmap",
-                2,
-                WorkloadParams(
-                    threads=2,
-                    txs_per_thread=2,
-                    value_bytes=16 << 10,
-                    keys=64,
-                    initial_fill=16,
-                ),
-            ),
-            scale=1 / 64,
-            seed=2020,
-        )
-        timers = PhaseTimers()
-        with timers:
-            run_experiment(spec)
-        assert timers.calls["epoch"] > 0
-        assert timers.exclusive_s["epoch"] > 0.0
