@@ -2,10 +2,11 @@
 """Trace-driven simulation: capture a workload once, replay it anywhere.
 
 Records the committed memory operations of a hash-map workload running
-under UHTM, saves the trace to disk, then replays the identical transaction
-streams under every HTM design — the methodology for comparing designs on
-*exactly* the same work, and the natural entry point for feeding this
-simulator traces derived from real applications.
+under UHTM (a tracer's ``tx.*`` events, folded into a memory trace), saves
+the trace to disk, then replays the identical transaction streams under
+every HTM design — the methodology for comparing designs on *exactly* the
+same work, and the natural entry point for feeding this simulator traces
+derived from real applications.
 
 Run with:  python examples/trace_replay.py
 """
@@ -14,6 +15,7 @@ import os
 import tempfile
 
 from repro import HTMConfig, MachineConfig, System
+from repro.obs import Tracer, attach_tracer
 from repro.sim.tracefile import MemoryTrace
 from repro.workloads import TraceReplayWorkload, WORKLOADS, WorkloadParams
 
@@ -23,8 +25,8 @@ def capture() -> MemoryTrace:
         MachineConfig.scaled(1 / 16, cores=4),
         HTMConfig(design="uhtm"),
         seed=21,
-        capture_trace=True,
     )
+    tracer = attach_tracer(system, Tracer())
     proc = system.process("source")
     params = WorkloadParams(
         threads=4, txs_per_thread=6, value_bytes=64 << 10,
@@ -33,7 +35,10 @@ def capture() -> MemoryTrace:
     workload = WORKLOADS["hashmap"](system, proc, params)
     workload.spawn()
     system.run()
-    trace = system.captured_trace()
+    trace = MemoryTrace.from_events(
+        tracer.events(), system.controller.address_space,
+        dropped=tracer.dropped,
+    )
     print(f"captured {trace.total_txs()} transactions, "
           f"{trace.total_ops()} operations from {len(trace.threads)} threads")
     return trace

@@ -103,9 +103,6 @@ def execute_point(point: GridPoint) -> Tuple[RunResult, float]:
     return result, stopwatch.elapsed_s
 
 
-#: Kept under the old private name too: external scripts picked it up.
-_execute_point = execute_point
-
 #: A pluggable grid backend: given the full point list and an optional
 #: shared cache, return a complete :class:`GridOutcome` in submission order.
 #: ``repro.serve.client.ServiceExecutor`` is the non-local implementation.

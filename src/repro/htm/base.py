@@ -118,8 +118,6 @@ class HTMSystem:
         self.tx_ids = TxIdAllocator()
         self.domains = ConflictDomainRegistry(self._isolation_enabled())
         self._active: Dict[int, TxHandle] = {}
-        #: Optional trace capture (set by the System facade).
-        self.capture = None
         #: Optional event tracer (set by ``repro.obs.attach_tracer``); hook
         #: sites guard with ``is not None`` and never import the obs package.
         self.tracer = None
@@ -208,8 +206,6 @@ class HTMSystem:
         )
         self._active[tx_id] = tx
         self._register_tracking(tx)
-        if self.capture is not None:
-            self.capture.begin(tx_id, thread.thread_id)
         self.stats.incr("tx.begins")
         if self.tracer is not None:
             self.tracer.emit(
@@ -246,7 +242,7 @@ class HTMSystem:
         access = hierarchy.access
         directory = hierarchy.directory if self.USES_DIRECTORY else None
         offchip_always = self._offchip_always
-        capture = self.capture
+        tracer = self.tracer
         records_access = self._records_access
         thread = tx.thread
         tx_id = tx.tx_id
@@ -285,8 +281,14 @@ class HTMSystem:
                     directory.record_access(line_addr, tx_id, True)
             read_lines.add(line_addr)
             tx.reads += 1
-            if capture is not None:
-                capture.op(tx_id, False, cur_addr)
+            if tracer is not None:
+                tracer.emit(
+                    "tx.read",
+                    ts_ns=thread.clock_ns,
+                    tx_id=tx_id,
+                    thread_id=thread.thread_id,
+                    addr=cur_addr,
+                )
             if records_access:
                 self._on_access_recorded(tx, line_addr, is_write=False)
             if self._dram_redo and line_addr in tx.dram_overflowed_lines:
@@ -315,7 +317,7 @@ class HTMSystem:
         access = hierarchy.access
         directory = hierarchy.directory if self.USES_DIRECTORY else None
         offchip_always = self._offchip_always
-        capture = self.capture
+        tracer = self.tracer
         records_access = self._records_access
         nvm_base = self._nvm_base
         nvm_end = self._nvm_end
@@ -350,8 +352,14 @@ class HTMSystem:
                     directory.record_access(line_addr, tx_id, True)
                 written_lines.add(line_addr)
                 tx.writes += 1
-                if capture is not None:
-                    capture.op(tx_id, True, cur_addr)
+                if tracer is not None:
+                    tracer.emit(
+                        "tx.write",
+                        ts_ns=thread.clock_ns,
+                        tx_id=tx_id,
+                        thread_id=thread.thread_id,
+                        addr=cur_addr,
+                    )
                 if records_access:
                     self._on_access_recorded(tx, line_addr, is_write=True)
                 if nvm_base <= cur_addr < nvm_end and line_addr not in nvm_logged:
@@ -699,8 +707,6 @@ class HTMSystem:
         self.tss.mark_committed(tx.tx_id)
         self._active.pop(tx.tx_id, None)
         self.tss.reclaim(tx.tx_id)
-        if self.capture is not None:
-            self.capture.commit(tx.tx_id)
         self.stats.incr("tx.commits")
         if self.tracer is not None:
             self.tracer.emit(
@@ -852,8 +858,6 @@ class HTMSystem:
             )
         self.domains.unregister(tx.tx_id)
         self._active.pop(tx.tx_id, None)
-        if self.capture is not None:
-            self.capture.abort(tx.tx_id)
         tx.write_buffer.clear()
         tx.thread.advance(cost)
         self.stats.histogram("tx.aborted_attempt_ns").record(

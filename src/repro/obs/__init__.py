@@ -8,6 +8,9 @@ the captured stream the package assembles per-transaction timelines, an
 abort-forensics report (precise vs signature-alias vs capacity vs fallback,
 with the conflicting address and both transaction ids), and exports to JSONL
 or Chrome ``trace_event`` JSON (load in ``chrome://tracing`` / Perfetto).
+The same stream, with its per-line ``tx.read`` / ``tx.write`` events,
+folds into a replayable memory trace
+(:meth:`repro.sim.tracefile.MemoryTrace.from_events`).
 
 Tracing is strictly an observer: every hook site is a duck-typed ``tracer``
 attribute that defaults to ``None`` and is only assigned by

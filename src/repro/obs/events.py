@@ -11,6 +11,9 @@ Event taxonomy (see ``docs/OBSERVABILITY.md`` for the payload of each):
 Transaction lifecycle (``htm/base.py``)
     ``tx.begin``, ``tx.commit``, ``tx.commit.phase``, ``tx.abort``
 
+Transactional accesses (``htm/base.py``), one per cache line touched
+    ``tx.read``, ``tx.write``
+
 Conflict detection (``htm/conflict.py``, ``htm/designs.py``)
     ``conflict.resolve``, ``sig.check``, ``sig.hit``, ``sig.saturation``
 
@@ -37,6 +40,10 @@ TX_COMMIT = "tx.commit"
 TX_COMMIT_PHASE = "tx.commit.phase"
 TX_ABORT = "tx.abort"
 
+# -- transactional accesses (one event per cache line) -----------------------
+TX_READ = "tx.read"
+TX_WRITE = "tx.write"
+
 # -- conflict detection -----------------------------------------------------
 CONFLICT_RESOLVE = "conflict.resolve"
 SIG_CHECK = "sig.check"
@@ -60,31 +67,6 @@ SLOWPATH_COMMIT = "slowpath.commit"
 THREAD_BLOCK = "thread.block"
 THREAD_WAKE = "thread.wake"
 THREAD_DONE = "thread.done"
-
-ALL_KINDS = frozenset(
-    {
-        TX_BEGIN,
-        TX_COMMIT,
-        TX_COMMIT_PHASE,
-        TX_ABORT,
-        CONFLICT_RESOLVE,
-        SIG_CHECK,
-        SIG_HIT,
-        SIG_SATURATION,
-        LLC_EVICT,
-        LLC_OVERFLOW,
-        MEM_COMMIT_NVM,
-        MEM_COMMIT_DRAM,
-        MEM_ROLLBACK_DRAM,
-        MEM_ABORT_NVM,
-        LOG_APPEND,
-        SLOWPATH_BEGIN,
-        SLOWPATH_COMMIT,
-        THREAD_BLOCK,
-        THREAD_WAKE,
-        THREAD_DONE,
-    }
-)
 
 
 @dataclass(frozen=True)

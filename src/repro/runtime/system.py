@@ -30,8 +30,6 @@ from ..params import HTMConfig, MachineConfig
 from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.stats import StatsRegistry
-from ..sim.trace import TraceRecorder
-from ..sim.tracefile import MemoryTrace, TraceCapture
 from .heap import TxHeap
 from .process import SimProcess
 
@@ -47,14 +45,11 @@ class System:
         machine: Optional[MachineConfig] = None,
         htm_config: Optional[HTMConfig] = None,
         seed: int = 2020,
-        trace: bool = False,
-        capture_trace: bool = False,
     ) -> None:
         self.machine = machine or MachineConfig.scaled(1 / 16)
         self.htm_config = htm_config or HTMConfig()
         self.stats = StatsRegistry()
         self.rng = RngStreams(seed)
-        self.trace = TraceRecorder(enabled=trace)
         self.engine = Engine()
         self.controller = MemoryController(
             self.machine.memory, self.machine.latency
@@ -65,11 +60,6 @@ class System:
             self.stats,
         )
         self.heap = TxHeap(self.controller)
-        if capture_trace:
-            space = self.controller.address_space
-            self.htm.capture = TraceCapture(
-                space.dram_heap.base, space.nvm_heap.base
-            )
         self.locks = FallbackLockTable()
         self.crash_controller = CrashController(self.controller, self.hierarchy)
         self.processes: List[SimProcess] = []
@@ -115,12 +105,6 @@ class System:
         if elapsed <= 0:
             return 0.0
         return self.stats.counter("ops.committed") / (elapsed / 1e6)
-
-    def captured_trace(self) -> Optional[MemoryTrace]:
-        """The memory trace recorded so far (None unless capturing)."""
-        if self.htm.capture is None:
-            return None
-        return self.htm.capture.trace
 
     # -- failure injection ---------------------------------------------------------
 

@@ -12,7 +12,6 @@ syscall-emulation mode orders racing requests.
 from .engine import Engine, SimThread, ThreadState
 from .rng import RngStreams
 from .stats import StatsRegistry
-from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "Engine",
@@ -20,6 +19,4 @@ __all__ = [
     "ThreadState",
     "RngStreams",
     "StatsRegistry",
-    "TraceEvent",
-    "TraceRecorder",
 ]

@@ -18,12 +18,16 @@ The on-disk format is line-oriented text::
     ...
 
 ``d`` = DRAM, ``n`` = NVM; offsets are byte offsets into the kind's arena.
+
+A trace is recorded from a tracer's event stream: attach a
+:class:`~repro.obs.tracer.Tracer` to the system, run it, and fold the
+events with :meth:`MemoryTrace.from_events`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, TextIO, Tuple
+from typing import Dict, Iterable, List, TextIO, Tuple
 
 from ..errors import ReproError
 from ..mem.address import MemoryKind
@@ -32,6 +36,18 @@ _MAGIC = "# uhtm-trace v1"
 
 _KIND_CODE = {MemoryKind.DRAM: "d", MemoryKind.NVM: "n"}
 _CODE_KIND = {"d": MemoryKind.DRAM, "n": MemoryKind.NVM}
+
+#: Fields per record, tag included.
+_ARITY = {"THREAD": 2, "TX": 1, "END": 1, "R": 3, "W": 3}
+
+
+def _count(text: str, line_no: int, line: str) -> int:
+    """A non-negative decimal field (thread id or offset) of one record."""
+    if not (text.isascii() and text.isdigit()):
+        raise ReproError(
+            f"line {line_no}: {text!r} is not a non-negative integer in {line!r}"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -118,28 +134,34 @@ class MemoryTrace:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "THREAD":
-                current_thread = trace.thread(int(parts[1]))
+            tag = parts[0]
+            if len(parts) != _ARITY.get(tag, 0):
+                raise ReproError(f"line {line_no}: bad record {line!r}")
+            if tag == "THREAD":
+                current_thread = trace.thread(_count(parts[1], line_no, line))
                 current_tx = None
-            elif parts[0] == "TX":
+            elif tag == "TX":
                 if current_thread is None:
                     raise ReproError(f"line {line_no}: TX before THREAD")
                 current_tx = TracedTx()
                 current_thread.txs.append(current_tx)
-            elif parts[0] == "END":
+            elif tag == "END":
                 current_tx = None
-            elif parts[0] in ("R", "W"):
+            else:
                 if current_tx is None:
                     raise ReproError(f"line {line_no}: op outside TX")
+                kind = _CODE_KIND.get(parts[1])
+                if kind is None:
+                    raise ReproError(
+                        f"line {line_no}: unknown memory kind in {line!r}"
+                    )
                 current_tx.ops.append(
                     TracedOp(
-                        is_write=parts[0] == "W",
-                        kind=_CODE_KIND[parts[1]],
-                        offset=int(parts[2]),
+                        is_write=tag == "W",
+                        kind=kind,
+                        offset=_count(parts[2], line_no, line),
                     )
                 )
-            else:
-                raise ReproError(f"line {line_no}: bad record {line!r}")
         return trace
 
     @classmethod
@@ -148,40 +170,54 @@ class MemoryTrace:
 
         return cls.load(io.StringIO(text))
 
+    # -- recording -----------------------------------------------------------
 
-class TraceCapture:
-    """Attached to an HTM system to record committed transactions.
+    @classmethod
+    def from_events(
+        cls, events: Iterable, address_space, *, dropped: int
+    ) -> "MemoryTrace":
+        """Fold a tracer's event stream into its committed transactions.
 
-    Speculative operations buffer per transaction; only commits publish to
-    the trace (an aborted attempt's ops are retried anyway).
-    """
+        ``events`` are duck-typed trace events (``kind``, ``tx_id``,
+        ``thread_id`` and a ``get`` for the payload).  Only transactions
+        opened by a ``tx.begin`` in the stream are recorded; their
+        ``tx.read`` / ``tx.write`` operations keep emission order, and a
+        ``tx.commit`` appends them to the committing thread's stream.
+        Aborted and unfinished attempts are dropped: the retry loop issues
+        their work again.  Addresses become offsets into the DRAM or NVM
+        heap of ``address_space``.
 
-    def __init__(self, dram_base: int, nvm_base: int) -> None:
-        self._dram_base = dram_base
-        self._nvm_base = nvm_base
-        self._pending: Dict[int, Tuple[int, List[TracedOp]]] = {}
-        self.trace = MemoryTrace()
-
-    def begin(self, tx_id: int, thread_id: int) -> None:
-        self._pending[tx_id] = (thread_id, [])
-
-    def op(self, tx_id: int, is_write: bool, addr: int) -> None:
-        entry = self._pending.get(tx_id)
-        if entry is None:
-            return
-        if addr >= self._nvm_base:
-            kind, offset = MemoryKind.NVM, addr - self._nvm_base
-        else:
-            kind, offset = MemoryKind.DRAM, addr - self._dram_base
-        entry[1].append(TracedOp(is_write, kind, offset))
-
-    def commit(self, tx_id: int) -> None:
-        entry = self._pending.pop(tx_id, None)
-        if entry is None:
-            return
-        thread_id, ops = entry
-        tx = TracedTx(ops)
-        self.trace.thread(thread_id).txs.append(tx)
-
-    def abort(self, tx_id: int) -> None:
-        self._pending.pop(tx_id, None)
+        ``dropped`` is the tracer's ring-overflow count.  A ring that lost
+        events yields a partial trace that would replay different work, so
+        anything but 0 is an error.
+        """
+        if dropped:
+            raise ReproError(
+                f"the tracer dropped {dropped} events; a memory trace needs "
+                "the whole stream (attach a tracer with a larger capacity)"
+            )
+        dram_base = address_space.dram_heap.base
+        nvm_base = address_space.nvm_heap.base
+        trace = cls()
+        pending: Dict[int, Tuple[int, List[TracedOp]]] = {}
+        for event in events:
+            kind = event.kind
+            if kind == "tx.read" or kind == "tx.write":
+                entry = pending.get(event.tx_id)
+                if entry is None:
+                    continue
+                addr = event.get("addr")
+                if addr >= nvm_base:
+                    memory, offset = MemoryKind.NVM, addr - nvm_base
+                else:
+                    memory, offset = MemoryKind.DRAM, addr - dram_base
+                entry[1].append(TracedOp(kind == "tx.write", memory, offset))
+            elif kind == "tx.begin":
+                pending[event.tx_id] = (event.thread_id, [])
+            elif kind == "tx.commit":
+                entry = pending.pop(event.tx_id, None)
+                if entry is not None:
+                    trace.thread(entry[0]).txs.append(TracedTx(entry[1]))
+            elif kind == "tx.abort":
+                pending.pop(event.tx_id, None)
+        return trace

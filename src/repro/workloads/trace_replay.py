@@ -1,10 +1,11 @@
 """Replay a captured memory trace as a workload.
 
 Trace-driven simulation decouples workload generation from the machine under
-test: capture once (``System(capture_trace=True)``), then replay the same
-committed transaction streams under any HTM design, cache scale, or latency
-configuration — the standard methodology for architecture studies and the
-natural way to feed this simulator traces derived from real applications.
+test: record once (attach a tracer and fold its events with
+``MemoryTrace.from_events``), then replay the same committed transaction
+streams under any HTM design, cache scale, or latency configuration — the
+standard methodology for architecture studies and the natural way to feed
+this simulator traces derived from real applications.
 
 Replay allocates one arena per memory kind sized to the trace's offsets and
 issues each transaction through the normal Algorithm 1 retry loop, so

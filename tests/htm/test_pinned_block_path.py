@@ -16,8 +16,9 @@ keep reproducing them exactly.
   pinned, which the export's abort-rate columns do not show.
 * A contended two-thread workload mixes transactional block writes and
   reads over shared DRAM and NVM with non-transactional sweeps, so blocks
-  conflict and abort.  It runs plain, with trace capture attached and with
-  the DRAM bandwidth model enabled.
+  conflict and abort.  It runs plain, with a tracer attached and with the
+  DRAM bandwidth model enabled.  The traced run's memory trace, folded from
+  the tracer's events, is pinned too.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from repro.harness.export import to_json
 from repro.harness.figures import fig2, fig7_grid
 from repro.harness.parallel import run_keyed
 from repro.mem.address import MemoryKind
+from repro.obs import Tracer, attach_tracer
 from repro.params import HTMConfig, LINE_SIZE, MachineConfig
 from repro.runtime.system import System
+from repro.sim.tracefile import MemoryTrace
 
 #: SHA-256 of ``python -m repro fig2 --scale 0.015625 --seed S --json``.
 FIG2_SMOKE_SHA256 = {
@@ -95,7 +98,9 @@ def run_conflict_workload(capture=False, bandwidth=False):
             machine,
             memory=dataclasses.replace(machine.memory, model_bandwidth=True),
         )
-    system = System(machine, HTMConfig(), seed=11, capture_trace=capture)
+    system = System(machine, HTMConfig(), seed=11)
+    if capture:
+        attach_tracer(system, Tracer())
     dram = system.heap.alloc(2 * CHUNK_LINES * LINE_SIZE, MemoryKind.DRAM)
     nvm = system.heap.alloc(CHUNK_LINES * LINE_SIZE, MemoryKind.NVM)
     bases = (dram, nvm)
@@ -114,7 +119,7 @@ def fingerprint_sha256(system) -> str:
 
 
 #: ``fingerprint_sha256`` of :func:`run_conflict_workload` per variant.
-#: Capture only observes, so its run must match the plain one.
+#: Tracing only observes, so the traced run must match the plain one.
 PLAIN_SHA256 = "73161de390b25ac282e114d1696b9d761c196e10929f58c5ea52a615f5530e60"
 CONFLICT_SHA256 = {
     "plain": ({}, PLAIN_SHA256),
@@ -132,3 +137,22 @@ def test_conflict_workload_pinned(variant):
     system = run_conflict_workload(**kwargs)
     assert system.stats.counter("tx.aborts") > 0, "scenario must conflict"
     assert fingerprint_sha256(system) == expected
+
+
+#: SHA-256 of the traced run's ``MemoryTrace.dumps()``, recorded when the
+#: trace still came from a dedicated capture hook in the HTM system.
+CONFLICT_TRACE_SHA256 = (
+    "0193539310115b3c993e500c67b8550e026e6afecaec95bd6615fed1ea85b4c0"
+)
+
+
+def test_conflict_workload_trace_pinned():
+    system = run_conflict_workload(capture=True)
+    tracer = system.htm.tracer
+    trace = MemoryTrace.from_events(
+        tracer.events(), system.controller.address_space,
+        dropped=tracer.dropped,
+    )
+    assert trace.total_txs() == system.stats.counter("tx.commits")
+    digest = hashlib.sha256(trace.dumps().encode("utf-8")).hexdigest()
+    assert digest == CONFLICT_TRACE_SHA256

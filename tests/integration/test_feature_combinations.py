@@ -1,7 +1,7 @@
 """Integration: orthogonal features composed end-to-end.
 
 Each test combines two or more optional features (banked signatures,
-oldest-wins resolution, bandwidth model, migration, trace capture) with a
+oldest-wins resolution, bandwidth model, migration, trace recording) with a
 real workload and checks both progress and correctness — guarding against
 pairwise interactions that per-feature tests miss.
 """
@@ -15,6 +15,8 @@ import pytest
 from repro import HTMConfig, MachineConfig, SignatureConfig, System
 from repro.htm.conflict import ResolutionPolicy
 from repro.mem.address import MemoryKind
+from repro.obs import Tracer, attach_tracer
+from repro.sim.tracefile import MemoryTrace
 from repro.workloads import WORKLOADS, WorkloadParams
 
 
@@ -27,9 +29,11 @@ def small_params(**overrides):
     return WorkloadParams(**base)
 
 
-def run(machine, config, workload="hashmap", seed=5, capture=False,
+def run(machine, config, workload="hashmap", seed=5, tracer=None,
         migrate_every_ns=0.0, params=None):
-    system = System(machine, config, seed=seed, capture_trace=capture)
+    system = System(machine, config, seed=seed)
+    if tracer is not None:
+        attach_tracer(system, tracer)
     proc = system.process("w")
     w = WORKLOADS[workload](system, proc, params or small_params())
     w.setup()
@@ -37,6 +41,13 @@ def run(machine, config, workload="hashmap", seed=5, capture=False,
         proc.thread(body, migrate_every_ns=migrate_every_ns)
     system.run()
     return system, w
+
+
+def memory_trace(system, tracer):
+    return MemoryTrace.from_events(
+        tracer.events(), system.controller.address_space,
+        dropped=tracer.dropped,
+    )
 
 
 class TestBankedSignaturesEndToEnd:
@@ -115,19 +126,20 @@ class TestBandwidthPlusHTM:
 
 
 class TestMigrationPlusCapture:
-    def test_captured_trace_spans_migrations(self):
+    def test_trace_spans_migrations(self):
         machine = MachineConfig.scaled(1 / 64, cores=4)
+        tracer = Tracer()
         system, workload = run(
-            machine, HTMConfig(), capture=True, migrate_every_ns=2000.0
+            machine, HTMConfig(), tracer=tracer, migrate_every_ns=2000.0
         )
-        trace = system.captured_trace()
+        trace = memory_trace(system, tracer)
         assert trace.total_txs() == system.stats.counter("tx.commits")
         assert workload.verify()
 
 
 class TestEverythingAtOnce:
     def test_kitchen_sink(self):
-        """Banked sigs + oldest-wins + bandwidth + migration + capture."""
+        """Banked sigs + oldest-wins + bandwidth + migration + tracing."""
         base = MachineConfig.scaled(1 / 64, cores=4, cache_scale=1 / 512)
         machine = dataclasses.replace(
             base,
@@ -137,11 +149,12 @@ class TestEverythingAtOnce:
             signature=SignatureConfig(bits=1024, banked=True),
             resolution=ResolutionPolicy.OLDEST_WINS,
         )
+        tracer = Tracer()
         system, workload = run(
             machine, config, workload="hybrid_index",
-            capture=True, migrate_every_ns=3000.0,
+            tracer=tracer, migrate_every_ns=3000.0,
         )
         assert workload.verify()
         assert system.stats.counter("ops.committed") > 0
-        trace = system.captured_trace()
-        assert trace is not None and trace.total_txs() > 0
+        trace = memory_trace(system, tracer)
+        assert trace.total_txs() > 0

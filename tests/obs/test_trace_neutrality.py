@@ -6,16 +6,23 @@ and an untraced run of the same spec execute the exact same simulation —
 identical metric dicts, byte-identical exported JSON.  The differential
 below is the proof, and it extends to the process pool: ``trace_grid`` with
 1 and 2 workers returns identical results *and* identical event streams.
+Absolute pins on two streams guard the events themselves.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
+
+from repro.harness.config import DEFAULT_SCALE
 from repro.harness.metrics import run_result_to_dict
 from repro.harness.parallel import GridPoint
 from repro.harness.runner import run_experiment
 from repro.obs.capture import trace_experiment, trace_grid
+from repro.obs.cli import _build_points
+from repro.obs.events import TX_READ, TX_WRITE
 
 
 class TestTraceNeutrality:
@@ -63,3 +70,34 @@ class TestTraceGridParallel:
             assert run_result_to_dict(a.result) == run_result_to_dict(b.result)
             assert a.events == b.events  # the stream survives pickling intact
             assert a.dropped == b.dropped
+
+
+def projected_sha256(events) -> str:
+    """SHA-256 of a stream as ``(kind, tx_id, thread_id, data)`` rows.
+
+    Timestamps are left out: events that do not track simulated time take
+    the stamp of whatever stamped event precedes them.  Per-line access
+    events are left out so the pins predate them.
+    """
+    rows = [
+        [event.kind, event.tx_id, event.thread_id, [list(p) for p in event.data]]
+        for event in events
+        if event.kind not in (TX_READ, TX_WRITE)
+    ]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+#: ``projected_sha256`` of ``python -m repro trace hashmap`` and of the first
+#: fig7 quick point (``512_sig``), seed 2020, default scale.
+STREAM_SHA256 = {
+    "hashmap": "67ef4c1bfcafae1ceb1ef896ef43d2a287ecb2a13027da44f0e1f4d8bf97fa38",
+    "fig7": "33bbd360ffa2adca99d315c333dabf14aec70cdb6631bc7028b1e6aabdac0fc0",
+}
+
+
+@pytest.mark.parametrize("target", sorted(STREAM_SHA256))
+def test_event_stream_pinned(target):
+    points = _build_points(target, DEFAULT_SCALE, 2020)
+    (run,) = trace_grid(points[:1])
+    assert run.dropped == 0
+    assert projected_sha256(run.events) == STREAM_SHA256[target]
