@@ -15,10 +15,13 @@ UHTM; every access in signature-only designs), and the same line addresses
 recur across transactions.  Each family therefore memoises the tuple of
 ``k`` indices per input value in one plain dict, bounded at
 :data:`MEMO_CAPACITY` entries, so a warm probe is one dict hit instead of
-``k`` multiply/mix/mod rounds.  A family's outputs are a pure function of
-``(functions, buckets, seed)``, which also makes the instances themselves
-shareable: :func:`shared_multiplicative` hands out one memoised family per
-parameter triple instead of re-deriving multipliers for every
+``k`` multiply/mix/mod rounds.  A family only ever produces ``buckets``
+distinct index values, so the memo's tuples point at one shared ``int``
+object per value instead of each owning ``k`` private ones (indices above
+256 are outside CPython's small-int cache).  A family's outputs are a pure
+function of ``(functions, buckets, seed)``, which also makes the instances
+themselves shareable: :func:`shared_multiplicative` hands out one memoised
+family per parameter triple instead of re-deriving multipliers for every
 transaction's signature pair.
 """
 
@@ -30,10 +33,11 @@ from ..sim.rng import RngStreams
 
 _MASK64 = (1 << 64) - 1
 
-#: Per-family memo capacity.  An entry (the value, its 4-index tuple and
-#: the dict slot) measures about 250 bytes under tracemalloc, so a full memo
-#: holds about 16 MB.  A full memo is emptied and refills on demand: indices
-#: are a pure function of the value, so eviction never changes an answer.
+#: Per-family memo capacity.  An entry (the value, its 4-index tuple of
+#: shared ints and the dict slot) measures about 160 bytes under
+#: tracemalloc, so a full memo holds about 10 MB.  A full memo is emptied
+#: and refills on demand: indices are a pure function of the value, so
+#: eviction never changes an answer.
 MEMO_CAPACITY = 1 << 16
 
 
@@ -52,6 +56,9 @@ class HashFamily:
         self.functions = functions
         self.buckets = buckets
         self._memo: Dict[int, Tuple[int, ...]] = {}
+        # One shared int object per index value, so memo tuples do not
+        # each own k private ints; at most ``buckets`` entries, never cleared.
+        self._interned: Dict[int, int] = {}
 
     def indices(self, value: int) -> Sequence[int]:
         raise NotImplementedError
@@ -63,7 +70,8 @@ class HashFamily:
         if key is None:
             if len(memo) >= MEMO_CAPACITY:
                 memo.clear()
-            key = memo[value] = tuple(self.indices(value))
+            idx = self.indices(value)
+            key = memo[value] = tuple(map(self._interned.setdefault, idx, idx))
         return key
 
 
