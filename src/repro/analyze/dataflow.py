@@ -317,9 +317,6 @@ class ProjectIndex:
     def module_for(self, source: SourceFile) -> ModuleInfo:
         return self.modules[str(source.path.resolve())]
 
-    def module_at(self, path: str) -> Optional[ModuleInfo]:
-        return self.modules.get(path)
-
     def function(self, key: FunctionKey) -> Optional[FunctionInfo]:
         module = self.modules.get(key.path)
         if module is None:

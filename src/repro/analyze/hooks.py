@@ -206,11 +206,3 @@ class HookGuardChecker(Checker):
 
     def _is_guarded(self, node: ast.AST, scope: ast.AST, root_text: str) -> bool:
         return is_guarded(node, scope, root_text)
-
-    @staticmethod
-    def _statement_in(scope: ast.AST, node: ast.AST) -> Optional[ast.stmt]:
-        return statement_in(scope, node)
-
-    @staticmethod
-    def _is_bailout(statement: ast.stmt, root_text: str) -> bool:
-        return is_bailout(statement, root_text)

@@ -54,9 +54,6 @@ class FaultInjector:
     def armed(self) -> Optional[CrashPoint]:
         return self._armed
 
-    def reset_count(self, kind: TriggerKind) -> None:
-        self.counts[kind] = 0
-
     # -- the trigger -------------------------------------------------------
 
     def _bump(self, kind: TriggerKind, now_ns: float = 0.0) -> None:

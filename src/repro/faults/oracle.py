@@ -90,17 +90,6 @@ class CrashOracle:
         self._controller.on_nvm_commit = self._on_commit
         self._controller.on_nontx_nvm_store = self._on_nontx_store
 
-    @property
-    def committed_tx_count(self) -> int:
-        return len(self._commit_order)
-
-    def expected_value(self, word_addr: int) -> int:
-        """What the reference model says this NVM word must hold."""
-        addr = word_of(word_addr)
-        if addr in self._committed:
-            return self._committed[addr]
-        return self._baseline.get(addr, 0)
-
     # -- observation hooks -------------------------------------------------
 
     def _observe_log(self, record: LogRecord) -> None:

@@ -43,11 +43,6 @@ class TriggerKind(enum.Enum):
     RECOVERY_REPLAY = "recovery_replay"
 
 
-#: Trigger kinds that fire while the workload runs (every kind except the
-#: recovery-phase one).
-RUN_KINDS = tuple(k for k in TriggerKind if k is not TriggerKind.RECOVERY_REPLAY)
-
-
 @dataclass(frozen=True)
 class CrashPoint:
     """One crash trigger: the Nth occurrence of an architectural event."""

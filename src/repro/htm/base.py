@@ -222,12 +222,6 @@ class HTMSystem:
     def _register_tracking(self, tx: TxHandle) -> None:
         """Create and register per-design off-chip tracking (signatures)."""
 
-    def active_transaction(self, tx_id: int) -> Optional[TxHandle]:
-        return self._active.get(tx_id)
-
-    def active_in_process(self, process_id: int) -> List[TxHandle]:
-        return [t for t in self._active.values() if t.process_id == process_id]
-
     # --------------------------------------------------------------- access
 
     def tx_read(self, tx: TxHandle, addr: int, nbytes: int = WORD_SIZE) -> int:

@@ -86,11 +86,6 @@ class MemoryController:
 
     # -- data-path helpers ---------------------------------------------------
 
-    def backend_for(self, addr: int) -> BackingStore:
-        if self.address_space.is_dram(addr):
-            return self.dram
-        return self.nvm
-
     def read_latency(self, addr: int) -> float:
         """Latency of a demand read that reached this controller.
 

@@ -22,6 +22,9 @@ from typing import Dict, List, Optional, Tuple
 from ..params import LINE_SIZE, MemoryConfig
 from .backend import BackingStore
 
+#: Victim-heap items allowed per resident entry before a rebuild.
+HEAP_SLACK = 4
+
 
 @dataclass(slots=True)
 class DramCacheEntry:
@@ -46,6 +49,9 @@ class DramCache:
     stale items (removed lines, reordered lines, lines no longer evictable)
     are skipped by validity checks at pop time.  Since ascending ``lru_seq``
     equals LRU order, the heap minimum is the same victim the scan found.
+    Lookups push but never pop, so once the heap holds more than
+    :data:`HEAP_SLACK` items per entry it is rebuilt from the live
+    candidates; those are all queued already, so victim order is unchanged.
     """
 
     def __init__(self, config: MemoryConfig, nvm: BackingStore) -> None:
@@ -74,7 +80,19 @@ class DramCache:
         self._seq += 1
         entry.lru_seq = self._seq
         if entry.invalid or entry.committed:
-            heapq.heappush(self._evictable, (entry.lru_seq, entry.line_addr))
+            self._queue(entry.lru_seq, entry.line_addr)
+
+    def _queue(self, seq: int, line_addr: int) -> None:
+        """Push a victim candidate; drop the stale ones once they pile up."""
+        heap = self._evictable
+        heapq.heappush(heap, (seq, line_addr))
+        if len(heap) > HEAP_SLACK * (len(self._entries) + 1):
+            heap[:] = [
+                (e.lru_seq, e.line_addr)
+                for e in self._entries.values()
+                if e.invalid or e.committed
+            ]
+            heapq.heapify(heap)
 
     # -- lookups -----------------------------------------------------------
 
@@ -134,7 +152,7 @@ class DramCache:
         entry.committed = True
         # Became evictable in place: keeps its LRU position, so queue it
         # under its *current* stamp.
-        heapq.heappush(self._evictable, (entry.lru_seq, line_addr))
+        self._queue(entry.lru_seq, line_addr)
         return True
 
     def invalidate(self, line_addr: int, tx_id: int) -> bool:
@@ -145,7 +163,7 @@ class DramCache:
         if not entry.invalid:
             entry.invalid = True
             self.invalidations += 1
-            heapq.heappush(self._evictable, (entry.lru_seq, line_addr))
+            self._queue(entry.lru_seq, line_addr)
         return True
 
     # -- draining ------------------------------------------------------------

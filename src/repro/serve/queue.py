@@ -251,14 +251,6 @@ class JobQueue:
             cancelled=self.cancelled(campaign_id),
         )
 
-    def done_fingerprints(self, campaign_id: str) -> int:
-        """How many of this campaign's points the shared cache holds."""
-        return sum(
-            1
-            for record in self.store.load_records(campaign_id)
-            if self.cache.has_fingerprint(record.fingerprint)
-        )
-
     # -- cancellation ------------------------------------------------------
 
     def cancel(self, campaign_id: str) -> None:

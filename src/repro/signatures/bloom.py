@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from operator import add
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .hashing import HashFamily, MultiplicativeHashFamily
 
@@ -14,10 +14,13 @@ class BloomFilter:
 
     Signature checks sit on the simulator's hottest path (every LLC miss in
     UHTM; every access in signature-only designs).  Insert and probe both
-    go through the hash family's memoised per-value index tuple, so a warm
-    insert sets ``k`` bytes and a warm probe tests at most ``k`` bytes,
-    stopping at the first clear one.  A 4096-bit filter costs 4 KB per
-    instance; only the per-value index tuples are shared and memoised.
+    go through the hash family's memoised per-line indices (``k`` slots of
+    the family's page memo), so a warm insert sets ``k`` bytes and a warm
+    probe tests at most ``k`` bytes, stopping at the first clear one.  A
+    4096-bit filter costs 4 KB per instance; only the indices are shared
+    and memoised.  ``probe_key`` is the family's
+    :meth:`~.hashing.HashFamily.indices_for` itself, bound per instance, so
+    a probe adds no call frame of its own.
     """
 
     def __init__(
@@ -35,6 +38,8 @@ class BloomFilter:
         #: One byte per bit, 0 or 1.  Callers may read it, never write it.
         self.array = bytearray(bits)
         self._inserted = 0
+        #: The byte offsets in :attr:`array` that a value maps to.
+        self.probe_key = self.family.indices_for
 
     @property
     def inserted(self) -> int:
@@ -73,11 +78,7 @@ class BloomFilter:
     # reduced to ``k`` byte reads.  ``probe_key`` computes the reusable key
     # (the byte offsets to test); ``contains_key`` applies it.
 
-    def probe_key(self, value: int) -> Tuple[int, ...]:
-        """The byte offsets in :attr:`array` that ``value`` maps to."""
-        return self.family.indices_for(value)
-
-    def contains_key(self, key: Tuple[int, ...]) -> bool:
+    def contains_key(self, key: Sequence[int]) -> bool:
         """Membership test with a precomputed :meth:`probe_key` token."""
         array = self.array
         for index in key:

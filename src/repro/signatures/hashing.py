@@ -12,40 +12,52 @@ Two implementations of the same interface:
 
 Signature checks sit on the simulator's hottest path (every LLC miss in
 UHTM; every access in signature-only designs), and the same line addresses
-recur across transactions.  Each family therefore memoises the tuple of
-``k`` indices per input value in one plain dict, bounded at
-:data:`MEMO_CAPACITY` entries, so a warm probe is one dict hit instead of
-``k`` multiply/mix/mod rounds.  A family only ever produces ``buckets``
-distinct index values, so the memo's tuples point at one shared ``int``
-object per value instead of each owning ``k`` private ones (indices above
-256 are outside CPython's small-int cache).  A family's outputs are a pure
-function of ``(functions, buckets, seed)``, which also makes the instances
-themselves shareable: :func:`shared_multiplicative` hands out one memoised
-family per parameter triple instead of re-deriving multipliers for every
-transaction's signature pair.
+recur across transactions.  Each family therefore memoises the ``k``
+indices of every line address, packed by page: a dict keyed by
+``value >> 12`` whose values are typed arrays of ``64 * k`` slots, ``k``
+per 64-byte line.  A slot holds ``buckets`` (never a valid index) until
+its line is computed, so a line costs ``k`` array items (8 bytes for
+``k = 4`` and at most 65,535 buckets) instead of a dict entry and a tuple,
+and a warm probe is one dict hit and one ``itemgetter`` call.  Values that
+are not line-aligned skip the memo; the simulator passes line addresses.
+A family's outputs are a pure function of ``(functions, buckets, seed)``,
+which also makes the instances themselves shareable:
+:func:`shared_multiplicative` hands out one memoised family per parameter
+triple instead of re-deriving multipliers for every transaction's
+signature pair.
 """
 
 from __future__ import annotations
 
+from array import array
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from ..sim.rng import RngStreams
 
 _MASK64 = (1 << 64) - 1
 
-#: Per-family memo capacity.  An entry (the value, its 4-index tuple of
-#: shared ints and the dict slot) measures about 160 bytes under
-#: tracemalloc, so a full memo holds about 10 MB.  A full memo is emptied
-#: and refills on demand: indices are a pure function of the value, so
-#: eviction never changes an answer.
-MEMO_CAPACITY = 1 << 16
+_LINE_SHIFT = 6  # 64-byte lines
+_PAGE_SHIFT = 12  # 4 KB pages: 64 lines each
+_LINE_MASK = (1 << _LINE_SHIFT) - 1
+_PAGE_MASK = (1 << _PAGE_SHIFT) - 1
+_LINES_PER_PAGE = 1 << (_PAGE_SHIFT - _LINE_SHIFT)
+
+#: Per-family memo capacity, in pages.  A page of a 4-function family
+#: with at most 65,535 buckets measures about 660 bytes under tracemalloc
+#: (the array, its key and its dict slot), so a full memo holds about
+#: 2.7 MB and covers 262,144 lines: more than any perfbench workload
+#: touches over its whole seed list (``long-scan`` needs up to about
+#: 1,760).  A full memo is emptied and refills on demand: indices are a
+#: pure function of the value, so eviction never changes an answer.
+MEMO_PAGES = 1 << 12
 
 
 class HashFamily:
     """Interface: k independent functions from 64-bit ints to [0, buckets).
 
     Subclasses implement :meth:`indices`; the base class layers the memoised
-    fast path :meth:`indices_for` (the tuple of k indices) on top of it.
+    fast path :meth:`indices_for` on top of it.
     """
 
     def __init__(self, functions: int, buckets: int) -> None:
@@ -55,23 +67,49 @@ class HashFamily:
             raise ValueError("need at least one bucket")
         self.functions = functions
         self.buckets = buckets
-        self._memo: Dict[int, Tuple[int, ...]] = {}
-        # One shared int object per index value, so memo tuples do not
-        # each own k private ints; at most ``buckets`` entries, never cleared.
-        self._interned: Dict[int, int] = {}
+        # The narrowest unsigned type that holds ``buckets``, the marker of
+        # a slot not yet computed (valid indices are below it).
+        self._typecode = next(
+            code for code in "HIQ" if buckets < 1 << 8 * array(code).itemsize
+        )
+        self._blank_page = array(self._typecode, [buckets]) * (
+            _LINES_PER_PAGE * functions
+        )
+        # Per line, a getter of its ``k`` slots as a tuple: as cheap to build
+        # as an array slice and cheaper to iterate, once per member in the
+        # conflict sweep.  (``itemgetter`` of one item returns no tuple.)
+        self._getters = tuple(
+            itemgetter(*range(start, start + functions))
+            if functions > 1
+            else (lambda page, start=start: (page[start],))
+            for start in range(0, _LINES_PER_PAGE * functions, functions)
+        )
+        self._pages: Dict[int, array] = {}
 
     def indices(self, value: int) -> Sequence[int]:
         raise NotImplementedError
 
-    def indices_for(self, value: int) -> Tuple[int, ...]:
-        """``tuple(self.indices(value))``, memoised per value."""
-        memo = self._memo
-        key = memo.get(value)
-        if key is None:
-            if len(memo) >= MEMO_CAPACITY:
-                memo.clear()
-            idx = self.indices(value)
-            key = memo[value] = tuple(map(self._interned.setdefault, idx, idx))
+    def indices_for(self, value: int) -> Sequence[int]:
+        """The ``k`` indices of ``value``, memoised per line address.
+
+        A line address gets its ``k`` slots of the memo page as a tuple;
+        any other value gets :meth:`indices` computed afresh.
+        """
+        if value & _LINE_MASK:
+            return self.indices(value)
+        pages = self._pages
+        number = value >> _PAGE_SHIFT
+        page = pages.get(number)
+        if page is None:
+            if len(pages) >= MEMO_PAGES:
+                pages.clear()
+            page = pages[number] = self._blank_page[:]
+        line = (value & _PAGE_MASK) >> _LINE_SHIFT
+        key = self._getters[line](page)
+        if key[0] == self.buckets:
+            key = tuple(self.indices(value))
+            start = line * self.functions
+            page[start:start + self.functions] = array(self._typecode, key)
         return key
 
 

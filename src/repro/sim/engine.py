@@ -224,14 +224,6 @@ class Engine:
             return 0.0
         return max(t.clock_ns for t in self._threads)
 
-    def min_runnable_clock(self) -> Optional[float]:
-        runnable = [
-            t.clock_ns for t in self._threads if t.state is ThreadState.RUNNABLE
-        ]
-        if not runnable:
-            return None
-        return min(runnable)
-
     def all_done(self) -> bool:
         return all(t.state is ThreadState.DONE for t in self._threads)
 

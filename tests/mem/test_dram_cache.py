@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
+import random
+
 import pytest
 
 from repro.mem.address import MemoryKind
 from repro.mem.backend import BackingStore
-from repro.mem.dram_cache import DramCache
+from repro.mem.dram_cache import HEAP_SLACK, DramCache
 from repro.params import LINE_SIZE, LatencyConfig, MemoryConfig
 
 
@@ -111,6 +114,77 @@ class TestInvalidation:
         cache = make_cache(nvm)
         cache.fill(0x40, {0x40: 9}, tx_id=5, committed=False)
         assert not cache.mark_committed(0x40, 7)
+
+
+class _DrainLog:
+    """An NVM stand-in that records which line each drain stores."""
+
+    def __init__(self):
+        self.drained = []
+
+    def store_line(self, words):
+        self.drained.append(min(words) & ~(LINE_SIZE - 1))
+
+
+class _UncompactedCache(DramCache):
+    """The victim heap without compaction: the reference drain order."""
+
+    def _queue(self, seq, line_addr):
+        heapq.heappush(self._evictable, (seq, line_addr))
+
+
+class TestVictimHeap:
+    @staticmethod
+    def _ops(rng):
+        """Rounds of a lookup-only phase over a hot set, then a mixed phase.
+
+        During the lookup phase the cold lines stay least recently used,
+        so nothing pops stale candidates off an uncompacted heap; the
+        mixed phase fills, commits and invalidates lines, driving drains.
+        """
+        for _ in range(3):
+            for _ in range(4000):
+                yield "lookup", rng.randrange(4, 20) * LINE_SIZE, 0
+            for _ in range(400):
+                kind = rng.choice(
+                    ("fill", "fill_committed", "mark", "invalidate", "lookup")
+                )
+                line = rng.randrange(32)
+                yield kind, line * LINE_SIZE, 1 + line % 3  # one writer per line
+
+    def test_lookups_keep_heap_bounded_and_drain_order(self):
+        """A lookup-heavy loop keeps the heap small and drains as before.
+
+        Each lookup of an evictable entry pushes a candidate, so without
+        compaction the heap grows by one per hit.  The compacted cache
+        must drain the same lines in the same order and keep the same
+        resident set after every operation.
+        """
+        config = MemoryConfig(
+            dram_cache_bytes=16 * LINE_SIZE, dram_cache_ways=16
+        )
+        compacted = DramCache(config, _DrainLog())
+        reference = _UncompactedCache(config, _DrainLog())
+        for cache in (compacted, reference):
+            for i in range(16):
+                cache.fill(i * LINE_SIZE, {i * LINE_SIZE: i}, 1, committed=True)
+        largest = 0
+        for kind, line, tx in self._ops(random.Random(7)):
+            for cache in (compacted, reference):
+                if kind == "lookup":
+                    cache.lookup(line)
+                elif kind == "mark":
+                    cache.mark_committed(line, tx)
+                elif kind == "invalidate":
+                    cache.invalidate(line, tx)
+                else:
+                    cache.fill(line, {line: tx}, tx, kind == "fill_committed")
+            assert len(compacted._evictable) <= HEAP_SLACK * (len(compacted) + 1)
+            assert compacted.resident_lines() == reference.resident_lines()
+            largest = max(largest, len(reference._evictable))
+        assert compacted._nvm.drained == reference._nvm.drained
+        assert len(compacted._nvm.drained) > 100
+        assert largest > 2000  # the reference heap grew with the lookups
 
 
 class TestVolatility:

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from repro.signatures import hashing
-from repro.signatures.bloom import BloomFilter
+from repro.signatures.bloom import BankedBloomFilter, BloomFilter
 from repro.signatures.hashing import H3HashFamily, MultiplicativeHashFamily
 
 
@@ -76,21 +76,20 @@ class TestUniformity:
 
 
 class TestIndexMemo:
-    """The per-family memo of index tuples: bounded, small, answer-neutral.
+    """The per-family page memo of line indices: bounded, small, answer-neutral.
 
-    Memo tuples share one ``int`` object per index value through the
-    family's intern table, which brings an entry from about 260 B to about
-    160 B under tracemalloc (Python 3.11).
+    A 4 KB page of 64 lines is one typed array of ``64 * k`` slots, so a
+    memoised line costs about 10 B under tracemalloc (Python 3.11) where a
+    dict entry and its index tuple cost about 160 B.
     """
 
     def test_footprint_per_distinct_address(self):
         """Inserting then probing a new line address costs at most 320 B.
 
-        The cost is the memo entry (the value, its index tuple and the dict
-        slot) plus a share of the family's intern table, about 210 B over
-        4096 lines; the filter's byte array does not grow.  The bound
-        fails a memo that also keeps a 4096-bit mask per address (about
-        850 B).
+        The cost is the line's share of its memo page (the array and its
+        dict slot), about 10 B over 4096 lines; the filter's byte array
+        does not grow.  The bound fails a memo that also keeps a 4096-bit
+        mask per address (about 850 B).
         """
         lines = 4096
         family = MultiplicativeHashFamily(4, 4096, seed=11)
@@ -108,59 +107,94 @@ class TestIndexMemo:
             tracemalloc.stop()
         assert grown / lines <= 320
 
-    def test_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(hashing, "MEMO_CAPACITY", 8)
-        family = MultiplicativeHashFamily(4, 4096)
-        for value in range(0, 64 * 50, 64):
-            family.indices_for(value)
-            assert len(family._memo) <= 8
-
-    def test_answers_survive_memo_overflow(self, monkeypatch):
-        monkeypatch.setattr(hashing, "MEMO_CAPACITY", 8)
-        family = MultiplicativeHashFamily(4, 512, seed=3)
-        bloom = BloomFilter(512, 4, family)
-        inserted = [0x1000 + i * 64 for i in range(40)]
-        probes = [0x1000 + i * 64 for i in range(200)]
-        bloom.insert_all(inserted)
-        answers = [bloom.maybe_contains(p) for p in probes]
-        fresh = MultiplicativeHashFamily(4, 512, seed=3)
-        assert [family.indices_for(p) for p in probes] == [
-            tuple(fresh.indices(p)) for p in probes
-        ]
-        bits = {i for value in inserted for i in fresh.indices(value)}
-        assert answers == [
-            all(i in bits for i in fresh.indices(p)) for p in probes
-        ]
-        assert any(answers[len(inserted):])  # some aliasing was exercised
-
+    @pytest.mark.parametrize("functions", [1, 4])
+    @pytest.mark.parametrize("banked", [False, True], ids=["flat", "banked"])
     @pytest.mark.parametrize(
         "family_cls", [H3HashFamily, MultiplicativeHashFamily]
     )
-    def test_indices_are_shared(self, family_cls, monkeypatch):
-        buckets = 4096
-        family = family_cls(4, buckets, seed=5)
-        probes = [0x2000_0000 + i * 64 for i in range(3000)]
-        first_seen = {}
+    def test_answers_match_fresh_family(
+        self, family_cls, banked, functions, monkeypatch
+    ):
+        """Keys and probe answers equal a memo-free family's, everywhere.
+
+        The probes straddle a page boundary, fill the first and last line
+        of 16 pages under a 4-page cap (so the memo clears several times),
+        mix in unaligned values, then repeat after the clears.
+        """
+        monkeypatch.setattr(hashing, "MEMO_PAGES", 4)
+        bits = 512
+        buckets = bits // functions if banked else bits
+        family = family_cls(functions, buckets, seed=3)
+        fresh = family_cls(functions, buckets, seed=3)
+        bloom = (BankedBloomFilter if banked else BloomFilter)(
+            bits, functions, family
+        )
+
+        def offsets(value):
+            indices = list(fresh.indices(value))
+            if banked:
+                return [i + bank * buckets for bank, i in enumerate(indices)]
+            return indices
+
+        lines = [0x10_0000 + i * 64 for i in range(-70, 70)]
+        lines += [
+            0x20_0000 + page * 4096 + slot * 64
+            for page in range(16)
+            for slot in (0, 63)
+        ]
+        unaligned = [line + off for line in lines[::7] for off in (1, 8, 63)]
+        inserted = lines[::3]
+        bloom.insert_all(inserted)
+        probes = lines + unaligned + lines
+        answers = [bloom.maybe_contains(p) for p in probes]
         for p in probes:
-            for index in family.indices_for(p):
-                assert first_seen.setdefault(index, index) is index
-        # 12,000 indices over at most 4096 values: most recur across entries.
-        assert len(first_seen) <= buckets
-        interned = family._interned
-        assert len(interned) <= buckets
-        monkeypatch.setattr(hashing, "MEMO_CAPACITY", 64)
-        fresh = family_cls(4, buckets, seed=5)
-        for p in [0x3000_0000 + i * 64 for i in range(200)] + probes:
-            assert family.indices_for(p) == tuple(fresh.indices(p))
-            assert len(family._memo) <= 64
-        assert family._interned is interned  # not cleared with the memo
-        assert len(interned) <= buckets
+            assert tuple(family.indices_for(p)) == tuple(fresh.indices(p)), hex(p)
+            assert tuple(bloom.probe_key(p)) == tuple(offsets(p)), hex(p)
+        set_bits = {i for value in inserted for i in offsets(value)}
+        assert answers == [all(i in set_bits for i in offsets(p)) for p in probes]
+
+    def test_pages_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(hashing, "MEMO_PAGES", 8)
+        family = MultiplicativeHashFamily(4, 4096)
+        for value in range(0, 4096 * 50, 64):
+            family.indices_for(value)
+            assert len(family._pages) <= 8
+        assert len(family._pages) >= 1
+
+    def test_unaligned_values_skip_memo(self):
+        family = MultiplicativeHashFamily(4, 4096, seed=5)
+        for value in range(0x1000_0001, 0x1000_0001 + 64 * 100, 64):
+            assert list(family.indices_for(value)) == list(family.indices(value))
+        assert family._pages == {}
+
+    def test_long_scan_never_clears(self):
+        """120,000 contiguous lines stay memoised through insert and probe.
+
+        ``long-scan`` touches about 100,000 distinct lines per family over
+        its seed list; a memo that clears before that recomputes them.
+        """
+        lines = 120_000
+        family = MultiplicativeHashFamily(4, 4096, seed=11)
+        fresh = MultiplicativeHashFamily(4, 4096, seed=11)
+        bloom = BloomFilter(4096, 4, family)
+        base = 0x4000_0000
+        values = range(base, base + lines * 64, 64)
+        for value in values:
+            bloom.insert(value)
+        pages = dict(family._pages)
+        assert len(pages) == lines // 64
+        for value in values:
+            assert bloom.maybe_contains(value)
+            assert tuple(family.indices_for(value)) == tuple(fresh.indices(value))
+        assert len(family._pages) == len(pages)
+        assert all(family._pages[n] is page for n, page in pages.items())
 
     def test_footprint_amortised(self):
-        """16,384 new line addresses cost at most 180 B each, amortised.
+        """16,384 new line addresses cost at most 16 B each, amortised.
 
-        A memo entry whose indices are shared ints measures about 160 B;
-        with four private ints per entry it measured about 260 B.
+        A line's share of its memo page measures about 10 B with 2-byte
+        slots and about 18 B with 4-byte ones; a dict entry holding a tuple
+        of shared ints measured about 160 B.
         """
         lines = 16384
         family = MultiplicativeHashFamily(4, 4096, seed=11)
@@ -176,4 +210,4 @@ class TestIndexMemo:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert grown / lines <= 180
+        assert grown / lines <= 16
