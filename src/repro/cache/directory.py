@@ -57,8 +57,6 @@ class Directory:
         #: Reverse index: tx id -> lines it is registered on, so commit and
         #: abort clear a transaction's fields without scanning the directory.
         self._lines_of_tx: Dict[int, Set[int]] = {}
-        self.conflict_checks = 0
-        self.conflicts_found = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,28 +76,23 @@ class Directory:
         ``None``.  The access is *not* recorded; call :meth:`record_access`
         after resolution decides it may proceed.
         """
-        self.conflict_checks += 1
         entry = self._entries.get(line_addr)
-        # `tx_bit` inlined: this runs once per coherence request.
-        if entry is None or (entry.tx_owner is None and not entry.tx_sharers):
+        if entry is None:
             return None
-        victims: Set[int] = set()
-        kind = ""
-        if is_write:
-            if entry.tx_owner is not None and entry.tx_owner != tx_id:
-                victims.add(entry.tx_owner)
-                kind = "waw"
-            readers = {t for t in entry.tx_sharers if t != tx_id}
-            if readers:
-                victims.update(readers)
-                kind = kind or "raw"
-        else:
-            if entry.tx_owner is not None and entry.tx_owner != tx_id:
-                victims.add(entry.tx_owner)
-                kind = "war"
-        if not victims:
+        owner = entry.tx_owner
+        if owner == tx_id:
+            owner = None
+        if not is_write:
+            # A read conflicts only with a foreign Tx-Owner.
+            if owner is None:
+                return None
+            return DirectoryConflict(line_addr, frozenset((owner,)), "war")
+        sharers = entry.tx_sharers
+        if owner is None and (not sharers or (len(sharers) == 1 and tx_id in sharers)):
             return None
-        self.conflicts_found += 1
+        victims = set() if owner is None else {owner}
+        victims.update({t for t in sharers if t != tx_id})
+        kind = "raw" if owner is None else "waw"
         return DirectoryConflict(line_addr, frozenset(victims), kind)
 
     # -- recording ------------------------------------------------------------

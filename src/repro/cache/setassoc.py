@@ -100,7 +100,7 @@ class SetAssociativeArray:
         if meta is None:
             self.misses += 1
             return None
-        if touch and next(reversed(bucket)) != line_addr:
+        if touch:
             del bucket[line_addr]
             bucket[line_addr] = meta
         self.hits += 1

@@ -412,7 +412,7 @@ class MemoryController:
         committed = set(self.nvm_log.committed_tx_ids())
         aborted = set(self.nvm_log.aborted_tx_ids())
         replayed = 0
-        for record in list(self.nvm_log):
+        for record in self.nvm_log:
             if record.kind is not RecordKind.REDO:
                 continue
             if record.tx_id in committed and record.tx_id not in aborted:
@@ -423,8 +423,7 @@ class MemoryController:
                     # A power failure can strike recovery itself; replay is
                     # idempotent, so a later attempt simply starts over.
                     self.fault_injector.on_recovery_replay(replayed)
-        for tx_id in sorted(committed | aborted):
-            self.nvm_log.reclaim(tx_id)
+        self.nvm_log.reclaim_all(committed | aborted)
         return replayed
 
     def discard_uncommitted_nvm_records(self) -> int:
@@ -437,10 +436,7 @@ class MemoryController:
         every unmarked transaction is dead.
         """
         committed = set(self.nvm_log.committed_tx_ids())
-        discarded = 0
-        for tx_id in self.nvm_log.data_tx_ids():
-            if tx_id in committed:
-                continue
-            discarded += len(self.nvm_log.records_of(tx_id))
-            self.nvm_log.reclaim(tx_id)
+        dead = [t for t in self.nvm_log.data_tx_ids() if t not in committed]
+        discarded = sum(len(self.nvm_log.records_of(t)) for t in dead)
+        self.nvm_log.reclaim_all(dead)
         return discarded

@@ -4,16 +4,24 @@ Two instances exist: the DRAM log (undo records for LLC-overflowed volatile
 lines, or redo records under the Figure 10 ablation) and the NVM log (redo
 records for persistent lines).  The controller serialises concurrent appends
 to the end of the area (Section IV-B), so the log is modelled as an ordered
-list of records plus a byte cursor for space accounting.
+sequence of records plus a byte cursor for space accounting.
 
 Records carry real line contents so that abort rollback and post-crash
 recovery genuinely restore data, making consistency a testable property.
+
+A log holds tens of thousands of records on overflow workloads, so it is
+stored column by column in typed arrays, not as one object per record:
+about 60 B per one-word data record instead of about 350 B.
+:class:`LogRecord` tuples are built only on demand.  Reclamation drops a
+whole set of transactions in one pass over the columns.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import LogOverflowError
 from ..params import LINE_SIZE
@@ -34,14 +42,24 @@ class RecordKind(enum.Enum):
     ABORT = "abort"
 
 
+#: Kind column codes: a record's kind is ``_KINDS[code]``.  Data kinds come
+#: first, so ``code < _FIRST_MARK`` tests for a data record.  Codes are
+#: found with ``_KINDS.index``, which compares by identity first: hashing
+#: an enum member calls Python code.
+_KINDS = (RecordKind.UNDO, RecordKind.REDO, RecordKind.COMMIT, RecordKind.ABORT)
+_FIRST_MARK = _COMMIT = _KINDS.index(RecordKind.COMMIT)
+_ABORT = _KINDS.index(RecordKind.ABORT)
+
+
 class LogRecord(NamedTuple):
-    """One appended record.
+    """One appended record, as the log's queries return it.
 
     ``words`` maps word addresses inside the line to their logged values —
     old values for UNDO, new values for REDO; empty for marks.
 
-    A named tuple rather than a frozen dataclass: one is allocated per log
-    append, and frozen-dataclass init pays ``object.__setattr__`` per field.
+    The log does not keep these: it stores its records as columns and
+    builds a ``LogRecord`` for the append return value, the observers,
+    iteration and :meth:`HardwareLog.records_of`.
     """
 
     kind: RecordKind
@@ -57,8 +75,26 @@ class LogRecord(NamedTuple):
         return HEADER_BYTES + PAYLOAD_BYTES
 
 
+def _splice(column: array, cut: int, runs: List[Tuple[int, int]]) -> array:
+    """``column[:cut]`` followed by each ``column[start:stop]`` of ``runs``."""
+    kept = column[:cut]
+    for start, stop in runs:
+        kept += column[start:stop]
+    return kept
+
+
 class HardwareLog:
     """An append-only log confined to one reserved region.
+
+    Record ``i`` is row ``i`` of the record columns (kind code, tx id, line
+    address, sequence number); its words are
+    ``_addrs``/``_values[_offsets[i]:_offsets[i + 1]]``.  Values are
+    stored as signed 64-bit words; appending any other value raises
+    ``OverflowError`` and stores no record.  ``_by_tx`` maps each
+    transaction with live data records to their row numbers, in append
+    order, so rollback and ``records_of`` do not scan (the overflow list
+    plays this role in hardware); its keys are ordered by each
+    transaction's first live row.
 
     When live data alone would overflow the reserved area, the controller
     "traps the operating system to expand the log area" (Section IV-E);
@@ -70,19 +106,13 @@ class HardwareLog:
     def __init__(
         self, region: Region, name: str, allow_expansion: bool = True
     ) -> None:
-        self._region = region
         self._name = name
         self._capacity_bytes = region.size
         self._allow_expansion = allow_expansion
-        self._records: List[LogRecord] = []
-        self._cursor_bytes = 0
         self._sequence = 0
+        self.wipe()
         #: OS traps taken to grow the area.
         self.expansions = 0
-        #: Index from tx id to the positions of its data records, so abort
-        #: rollback does not scan the whole log (the overflow list plays
-        #: this role in hardware).
-        self._by_tx: Dict[int, List[int]] = {}
         #: Observers notified after every append (fault injectors and crash
         #: oracles watch the NVM log through this).
         self._observers: List[Callable[[LogRecord], None]] = []
@@ -109,10 +139,21 @@ class HardwareLog:
         return self._capacity_bytes
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        return map(self._record, range(len(self._kinds)))
+
+    def _record(self, row: int) -> LogRecord:
+        start = self._offsets[row]
+        stop = self._offsets[row + 1]
+        return LogRecord(
+            _KINDS[self._kinds[row]],
+            self._tx_ids[row],
+            self._lines[row],
+            tuple(zip(self._addrs[start:stop], self._values[start:stop])),
+            self._sequences[row],
+        )
 
     # -- appends -----------------------------------------------------------
 
@@ -123,25 +164,27 @@ class HardwareLog:
         line_addr: int,
         words: Dict[int, int],
     ) -> LogRecord:
-        if kind not in (RecordKind.UNDO, RecordKind.REDO):
+        code = _KINDS.index(kind)
+        if code >= _FIRST_MARK:
             raise ValueError(f"append_data takes UNDO/REDO, got {kind}")
-        return self._append(kind, tx_id, line_addr, tuple(sorted(words.items())))
+        return self._append(code, tx_id, line_addr, tuple(sorted(words.items())))
 
     def append_mark(self, kind: RecordKind, tx_id: int) -> LogRecord:
-        if kind not in (RecordKind.COMMIT, RecordKind.ABORT):
+        code = _KINDS.index(kind)
+        if code < _FIRST_MARK:
             raise ValueError(f"append_mark takes COMMIT/ABORT, got {kind}")
-        return self._append(kind, tx_id, 0, ())
+        return self._append(code, tx_id, 0, ())
 
     def _append(
         self,
-        kind: RecordKind,
+        code: int,
         tx_id: int,
         line_addr: int,
         words: Tuple[Tuple[int, int], ...],
     ) -> LogRecord:
         self._sequence += 1
-        record = LogRecord(kind, tx_id, line_addr, words, self._sequence)
-        is_data = kind is RecordKind.UNDO or kind is RecordKind.REDO
+        record = LogRecord(_KINDS[code], tx_id, line_addr, words, self._sequence)
+        is_data = code < _FIRST_MARK
         size = _DATA_RECORD_BYTES if is_data else HEADER_BYTES
         if self._cursor_bytes + size > self._capacity_bytes:
             # Reclaim completed transactions' records first; if live data
@@ -157,22 +200,38 @@ class HardwareLog:
                     )
                 self._capacity_bytes *= 2
                 self.expansions += 1
-        self._records.append(record)
+        addrs = self._addrs
+        values = self._values
+        end = len(addrs)
+        try:
+            for addr, value in words:
+                values.append(value)
+                addrs.append(addr)
+        except OverflowError:
+            # Not a signed 64-bit word: leave the columns as they were.
+            del addrs[end:], values[end:]
+            raise
+        row = len(self._kinds)
+        self._offsets.append(len(addrs))
+        self._kinds.append(code)
+        self._tx_ids.append(tx_id)
+        self._lines.append(line_addr)
+        self._sequences.append(self._sequence)
         self._cursor_bytes += size
         if is_data:
             # Index before notifying observers: an observer may model a
             # power failure by raising, and the record is already durable.
-            positions = self._by_tx.get(tx_id)
-            if positions is None:
-                self._by_tx[tx_id] = [len(self._records) - 1]
+            rows = self._by_tx.get(tx_id)
+            if rows is None:
+                self._by_tx[tx_id] = array("q", (row,))
             else:
-                positions.append(len(self._records) - 1)
+                rows.append(row)
         if self.tracer is not None:
             self.tracer.emit(
                 "log.append",
                 tx_id=tx_id,
                 log=self._name,
-                record=kind.value,
+                record=record.kind.value,
                 line_addr=line_addr,
                 sequence=self._sequence,
             )
@@ -193,15 +252,16 @@ class HardwareLog:
 
     def records_of(self, tx_id: int) -> List[LogRecord]:
         """Data records appended by ``tx_id``, in append order."""
-        return [self._records[i] for i in self._by_tx.get(tx_id, ())]
+        return [self._record(row) for row in self._by_tx.get(tx_id, ())]
 
     def committed_tx_ids(self) -> List[int]:
-        return [
-            r.tx_id for r in self._records if r.kind is RecordKind.COMMIT
-        ]
+        return self._marked(_COMMIT)
 
     def aborted_tx_ids(self) -> List[int]:
-        return [r.tx_id for r in self._records if r.kind is RecordKind.ABORT]
+        return self._marked(_ABORT)
+
+    def _marked(self, mark: int) -> List[int]:
+        return [tx for code, tx in zip(self._kinds, self._tx_ids) if code == mark]
 
     def data_tx_ids(self) -> List[int]:
         """Transactions that still have live data records in the area."""
@@ -214,61 +274,83 @@ class HardwareLog:
 
         Mirrors the deferred background log reclamation of Section IV-C.
         """
-        positions = self._by_tx.pop(tx_id, None)
-        if not positions:
-            return 0
-        doomed = set(positions)
-        freed = sum(self._records[i].size_bytes for i in doomed)
-        kept: List[LogRecord] = []
-        remap: Dict[int, List[int]] = {}
-        for index, record in enumerate(self._records):
-            if index in doomed:
-                continue
-            if record.kind in (RecordKind.UNDO, RecordKind.REDO):
-                remap.setdefault(record.tx_id, []).append(len(kept))
-            kept.append(record)
-        self._records = kept
-        self._by_tx = remap
-        self._cursor_bytes -= freed
+        return self.reclaim_all((tx_id,))
+
+    def reclaim_all(self, tx_ids: Iterable[int], marks: bool = False) -> int:
+        """Drop the data records of every transaction in ``tx_ids`` in one
+        pass; returns bytes freed.
+
+        Leaves exactly what :meth:`reclaim` called on each id in turn would
+        leave.  With ``marks``, every commit and abort mark goes too.
+        """
+        by_tx = self._by_tx
+        doomed: List[int] = []
+        for tx_id in tx_ids:
+            rows = by_tx.pop(tx_id, None)
+            if rows is not None:
+                doomed += rows
+        freed = len(doomed) * _DATA_RECORD_BYTES
+        if marks:
+            mark_rows = [r for r, code in enumerate(self._kinds) if code >= _FIRST_MARK]
+            freed += len(mark_rows) * HEADER_BYTES
+            doomed += mark_rows
+        if doomed:
+            doomed.sort()
+            self._rebuild(doomed)
+            self._cursor_bytes -= freed
         return freed
 
+    def _rebuild(self, doomed: List[int]) -> None:
+        """Delete the rows in ``doomed`` (sorted) from every column.
+
+        Rows before the first doomed one keep their numbers, so only the
+        columns' tails are copied and only later rows are re-indexed.
+        """
+        cut = doomed[0]
+        runs: List[Tuple[int, int]] = []
+        start = cut
+        for row in doomed:
+            if row > start:
+                runs.append((start, row))
+            start = row + 1
+        if start < len(self._kinds):
+            runs.append((start, len(self._kinds)))
+        offsets = self._offsets
+        word_runs = [(offsets[start], offsets[stop]) for start, stop in runs]
+        self._addrs = _splice(self._addrs, offsets[cut], word_runs)
+        self._values = _splice(self._values, offsets[cut], word_runs)
+        kept = offsets[: cut + 1]
+        for start, stop in runs:
+            shift = kept[-1] - offsets[start]
+            kept.extend(map(shift.__add__, offsets[start + 1 : stop + 1]))
+        self._offsets = kept
+        self._kinds = kinds = _splice(self._kinds, cut, runs)
+        self._tx_ids = tx_ids = _splice(self._tx_ids, cut, runs)
+        self._lines = _splice(self._lines, cut, runs)
+        self._sequences = _splice(self._sequences, cut, runs)
+        by_tx = self._by_tx
+        for rows in by_tx.values():
+            if rows[-1] >= cut:
+                del rows[bisect_left(rows, cut) :]
+        for row in range(cut, len(kinds)):
+            if kinds[row] < _FIRST_MARK:
+                by_tx[tx_ids[row]].append(row)
+
     def _compact(self) -> None:
-        """Reclaim every transaction that has a commit or abort mark."""
-        for tx_id in sorted(set(self.committed_tx_ids()) | set(self.aborted_tx_ids())):
-            self.reclaim(tx_id)
-        # Drop the marks themselves for transactions with no live data.
-        live = set(self._by_tx)
-        kept = [
-            r
-            for r in self._records
-            if r.kind in (RecordKind.UNDO, RecordKind.REDO) or r.tx_id in live
-        ]
-        freed = sum(r.size_bytes for r in self._records) - sum(
-            r.size_bytes for r in kept
-        )
-        if freed:
-            remap: Dict[int, List[int]] = {}
-            for index, record in enumerate(kept):
-                if record.kind in (RecordKind.UNDO, RecordKind.REDO):
-                    remap.setdefault(record.tx_id, []).append(index)
-            self._records = kept
-            self._by_tx = remap
-            self._cursor_bytes -= freed
+        """Reclaim every transaction that has a commit or abort mark, and
+        drop every mark."""
+        marked = set(self.committed_tx_ids())
+        marked.update(self.aborted_tx_ids())
+        self.reclaim_all(marked, marks=True)
 
     def wipe(self) -> None:
         """Lose all contents (crash of a volatile log)."""
-        self._records.clear()
-        self._by_tx.clear()
+        self._kinds = array("b")
+        self._tx_ids = array("q")
+        self._lines = array("q")
+        self._sequences = array("q")
+        self._offsets = array("q", (0,))
+        self._addrs = array("q")
+        self._values = array("q")
+        self._by_tx: Dict[int, array] = {}
         self._cursor_bytes = 0
-
-    def tail(self, count: int) -> List[LogRecord]:
-        return self._records[-count:]
-
-    def find_latest_mark(self, tx_id: int) -> Optional[LogRecord]:
-        for record in reversed(self._records):
-            if record.tx_id == tx_id and record.kind in (
-                RecordKind.COMMIT,
-                RecordKind.ABORT,
-            ):
-                return record
-        return None

@@ -55,6 +55,21 @@ class TestConflictCases:
     def test_untracked_line_no_conflict(self, directory):
         assert directory.check_access(0x40, tx_id=1, is_write=True) is None
 
+    def test_write_conflicts_skip_the_requester(self, directory):
+        # A sole sharer upgrading to a write conflicts with nobody.
+        directory.record_access(0x40, 1, False)
+        assert directory.check_access(0x40, 1, True) is None
+        # Other sharers are victims; the requester's own sharing is not.
+        directory.record_access(0x40, 2, False)
+        conflict = directory.check_access(0x40, 1, True)
+        assert conflict.victims == frozenset({2}) and conflict.kind == "raw"
+        # A foreign owner and sharers together: write-after-write.
+        directory.record_access(0x40, 3, True)
+        conflict = directory.check_access(0x40, 4, True)
+        assert conflict.victims == frozenset({1, 2, 3})
+        assert conflict.kind == "waw"
+        assert directory.check_access(0x40, 3, False) is None
+
 
 class TestLifecycle:
     def test_clear_transaction_removes_all_fields(self, directory):
@@ -102,10 +117,3 @@ class TestLifecycle:
         directory.record_access(0x40, 2, False)
         assert set(directory.transactions_on(0x40)) == {1, 2}
         assert list(directory.transactions_on(0x999)) == []
-
-    def test_counters(self, directory):
-        directory.record_access(0x40, 1, True)
-        directory.check_access(0x40, 2, True)
-        directory.check_access(0x80, 2, True)
-        assert directory.conflict_checks == 2
-        assert directory.conflicts_found == 1

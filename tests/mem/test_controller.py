@@ -207,3 +207,28 @@ class TestCrashRecovery:
         first = controller.nvm.clone_contents()
         controller.recover()
         assert controller.nvm.clone_contents() == first
+
+    def test_recovery_rebuilds_log_once(self, controller):
+        """Recovery reclaims every marked transaction, and the discard
+        every unmarked one, in a single pass over the log's columns each."""
+        log = controller.nvm_log
+        for tx_id in range(1, 201):
+            for line in range(3):
+                addr = nvm_addr(controller, (tx_id * 4 + line) * 64)
+                log.append_data(RecordKind.REDO, tx_id, addr, {addr: tx_id})
+            if tx_id <= 150:
+                log.append_mark(RecordKind.COMMIT, tx_id)
+            elif tx_id <= 170:
+                log.append_mark(RecordKind.ABORT, tx_id)
+        rebuilds = []
+        rebuild = log._rebuild
+        log._rebuild = lambda doomed: (rebuilds.append(len(doomed)), rebuild(doomed))
+        controller.crash()
+        assert controller.recover() == 150 * 3
+        assert rebuilds == [170 * 3]
+        assert controller.discard_uncommitted_nvm_records() == 30 * 3
+        assert rebuilds == [170 * 3, 30 * 3]
+        assert log.data_tx_ids() == []
+        assert len(log) == 170  # the marks stay until compaction
+        assert controller.nvm.load(nvm_addr(controller, (150 * 4 + 2) * 64)) == 150
+        assert controller.nvm.load(nvm_addr(controller, (151 * 4) * 64)) == 0
