@@ -6,9 +6,7 @@ Usage::
     python -m repro fig6
     python -m repro fig9 --full
     python -m repro all --seed 7 --jobs 4 --cache-dir .repro-cache
-    python -m repro fig2 --serve spool/     # execute via the job service
     python -m repro bench fig6 --jobs 4
-    python -m repro serve submit fig2 --smoke
     python -m repro faults --workload hashmap --crashes 50 --seed 1
     python -m repro trace fig7 --report
 """
@@ -37,7 +35,6 @@ SUBCOMMANDS = {
     "faults": ("repro.faults.cli", "crash-consistency fault campaigns"),
     "lint": ("repro.analyze.cli", "static layering/determinism gates"),
     "profile": ("repro.perf.cli", "phase-level profiling reports"),
-    "serve": ("repro.serve.cli", "sharded job service with checkpoint/resume"),
     "trace": ("repro.obs.cli", "transaction tracing and abort forensics"),
     "traffic": ("repro.traffic.cli", "open-loop multi-tenant tail latency"),
 }
@@ -50,21 +47,14 @@ def _run_one(
     seed: int,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    serve_spool: Optional[str] = None,
 ) -> list:
     driver = ALL_FIGURES[name]
     stopwatch = Stopwatch()
     if name in _STATIC:
         results = driver()
     else:
-        executor = None
-        if serve_spool is not None:
-            from .serve.client import ServiceExecutor
-
-            executor = ServiceExecutor(serve_spool, title=name)
         results = driver(
-            quick=quick, scale=scale, seed=seed, jobs=jobs, cache=cache,
-            executor=executor,
+            quick=quick, scale=scale, seed=seed, jobs=jobs, cache=cache
         )
     if not isinstance(results, tuple):
         results = (results,)
@@ -122,13 +112,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="on-disk result cache; unchanged points are not re-simulated",
-    )
-    parser.add_argument(
-        "--serve",
-        metavar="SPOOL",
-        help="execute grids through the job service spool instead of a "
-        "local pool (attach workers with 'python -m repro serve daemon')",
+        help="on-disk result cache; unchanged points are not re-simulated "
+        "and an interrupted run resumes where it stopped",
     )
     parser.add_argument(
         "--json", metavar="PATH", help="also write the results as JSON"
@@ -155,7 +140,7 @@ def main(argv=None) -> int:
         collected.extend(
             _run_one(
                 name, not args.full, args.scale, args.seed,
-                jobs=args.jobs, cache=cache, serve_spool=args.serve,
+                jobs=args.jobs, cache=cache,
             )
         )
     if args.json:

@@ -1,6 +1,6 @@
 """ATOM005 — staged-rename publication.
 
-The spool protocol (SERVE.md) and the result cache survive crashes and
+The result cache survives crashes (an interrupted run resumes from it) and
 concurrent writers only because every *published* file — one that another
 process resolves independently and may read at any moment — appears
 atomically: content is staged under a writer-unique tmp sibling and renamed
@@ -19,15 +19,12 @@ propagation) from the producers declared in
   (the crash window the fault oracle catches dynamically);
 * **rename-before-flush** — the ``replace`` precedes the staged write, so
   readers race a still-open file;
-* **missing token read-back** — an atomic helper overwrites a *lease* path
-  (a steal-rename) without reading the file back to compare ownership
-  tokens: a racing stealer's rename can silently clobber ours;
 * **non-atomic write in a durability-critical scope** — a blanket
-  (warning-severity) net over ``serve/`` and ``harness/cache.py`` for
-  writes whose target dataflow cannot classify.
+  (warning-severity) net over ``harness/cache.py`` for writes whose target
+  dataflow cannot classify.
 
-``open(path, "x")`` is exempt everywhere: exclusive-create *is* the atomic
-claim primitive (queue leases).
+``open(path, "x")`` is exempt everywhere: exclusive-create *is* an atomic
+claim primitive.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ from .dataflow import (
     single_assignments,
 )
 from .protocol import (
-    ATOMIC_WRITE_HELPERS,
-    LEASE_PATH_PRODUCERS,
-    LEASE_READ_BACK_CALLS,
     PUBLISHED_PATH_PRODUCERS,
     STAGING_DERIVATIONS,
     is_durability_critical,
@@ -143,8 +137,8 @@ class _ScopeState:
 class AtomicPublishChecker(Checker):
     rule = "ATOM005"
     description = (
-        "published spool/cache paths are written via stage-then-rename "
-        "(tmp sibling + os.replace), with token read-back after lease steals"
+        "published cache paths are written via stage-then-rename "
+        "(tmp sibling + os.replace)"
     )
 
     # -- cross-file propagation -------------------------------------------
@@ -210,9 +204,7 @@ class AtomicPublishChecker(Checker):
         scopes: List[Tuple[ast.AST, Dict[str, str]]] = [(source.tree, {})]
         for info in module.functions.values():
             scopes.append((info.node, propagated.get(info.key, {})))
-        critical = is_durability_critical(
-            source.package, source.path.as_posix()
-        )
+        critical = is_durability_critical(source.path.as_posix())
         for scope, published_params in scopes:
             findings.extend(
                 self._check_scope(source, scope, published_params, critical)
@@ -264,13 +256,12 @@ class AtomicPublishChecker(Checker):
                         call,
                         "non-atomic write in a durability-critical scope; "
                         "stage to a tmp sibling and os.replace it into "
-                        "place (or use write_json_atomic/write_text_atomic)",
+                        "place",
                         severity="warning",
                     )
                 continue
             self._record_replace(state, node, replaces)
         yield from self._check_staging(source, staged_writes, replaces)
-        yield from self._check_lease_read_back(source, state, nodes)
 
     @staticmethod
     def _record_replace(
@@ -321,34 +312,4 @@ class AtomicPublishChecker(Checker):
                     f"'{name}' is renamed into place before its content is "
                     "written (rename-before-flush); readers race a torn "
                     "file — publish only after the staged write completes",
-                )
-
-    def _check_lease_read_back(
-        self,
-        source: SourceFile,
-        state: _ScopeState,
-        nodes: List[ast.Call],
-    ) -> Iterable[Finding]:
-        read_backs = [
-            node_position(n)
-            for n in nodes
-            if call_terminal(n) in LEASE_READ_BACK_CALLS
-        ]
-        for node in nodes:
-            if call_terminal(node) not in ATOMIC_WRITE_HELPERS:
-                continue
-            if not node.args:
-                continue
-            producer = state.producer_of(node.args[0])
-            if producer not in LEASE_PATH_PRODUCERS:
-                continue
-            position = node_position(node)
-            if not any(rb > position for rb in read_backs):
-                yield self.finding(
-                    source,
-                    node,
-                    "steal-rename of a lease file without a token "
-                    "read-back; a racing stealer's rename can clobber this "
-                    "one undetected — re-read the lease and compare tokens "
-                    "before treating the claim as won",
                 )

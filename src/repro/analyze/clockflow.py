@@ -6,7 +6,7 @@ calling a *wrapper* that reads the clock two modules away.  No per-file
 allowlist sees that — call-graph reachability does.
 
 The declared funnels (:data:`repro.analyze.layers.CLOCK_FUNNEL_FILES` —
-``harness/timer.py``, ``perf/phases.py``, ``serve/clock.py``) absorb clock
+``harness/timer.py``, ``perf/phases.py``) absorb clock
 taint: reaching the clock *through* them is the sanctioned path, so the
 reverse reachability walk never propagates taint out of a funnel file.
 Everything else that contains a direct clock read seeds the tainted set,
@@ -61,8 +61,8 @@ class ClockFunnelChecker(Checker):
     rule = "CLK008"
     description = (
         "wall-clock reads are reachable from sim-critical code only "
-        "through the declared funnels (harness/timer, perf/phases, "
-        "serve/clock), checked by call-graph reachability"
+        "through the declared funnels (harness/timer, perf/phases), "
+        "checked by call-graph reachability"
     )
 
     def _tainted(
@@ -125,7 +125,7 @@ class ClockFunnelChecker(Checker):
                     call,
                     f"{description} is a direct wall-clock read in "
                     "sim-critical code; route it through a declared funnel "
-                    "(repro.harness.timer / repro.serve.clock)",
+                    "(repro.harness.timer / repro.perf.phases)",
                 )
             for info in module.functions.values():
                 if info.key in seeds:
@@ -144,6 +144,6 @@ class ClockFunnelChecker(Checker):
                     info.node,
                     f"'{info.key.qualname}' reaches {seed_description} "
                     f"outside the declared clock funnels (via {via}); "
-                    "only harness/timer, perf/phases and serve/clock may "
-                    "read the wall clock",
+                    "only harness/timer and perf/phases may read the wall "
+                    "clock",
                 )

@@ -53,7 +53,6 @@ KNOWN_PACKAGES = frozenset(
         "faults",
         "obs",
         "runtime",
-        "serve",
         "traffic",
         "analyze",
     }

@@ -2,10 +2,9 @@
 
 PR 2's checkers were single-file AST rules; the crash/concurrency
 disciplines PR 6 introduced (staged-rename publication, pickle-clean specs,
-wall-clock funnels) are *cross-file* properties: ``queue.py`` hands a lease
-path to ``jobstore.write_json_atomic``, a figure driver's grid point is
-pickled three modules away, a wall-clock read hides behind two wrapper
-calls.  This module gives checkers the three ingredients those rules need:
+wall-clock funnels) are *cross-file* properties: a caller hands a cache
+path to a helper that writes it, a figure driver's grid point is pickled
+three modules away, a wall-clock read hides behind two wrapper calls.  This module gives checkers the three ingredients those rules need:
 
 * :class:`ProjectIndex` — a symbol table per module: every function and
   class with its qualified name, plus an import-alias map resolved to
@@ -168,7 +167,7 @@ def call_terminal(call: ast.Call) -> Optional[str]:
 
 
 def _dotted_repro_name(path: Path) -> Optional[str]:
-    """``repro.serve.queue`` for any file under a ``repro/`` directory."""
+    """``repro.harness.cache`` for any file under a ``repro/`` directory."""
     parts = path.parts
     if "repro" not in parts:
         return None

@@ -43,11 +43,6 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
         {"mem", "sim", "cache", "signatures", "htm", "runtime", "workloads",
          "harness"}
     ),
-    # The job service drives the harness (grids, cache, figures) from
-    # separate processes; nothing below ever imports it.
-    "serve": frozenset(
-        {"mem", "sim", "htm", "runtime", "workloads", "harness"}
-    ),
     # Traffic reporting sits on top like obs (which it drives for traced
     # tail forensics); the scenario's moving parts live lower — arrivals
     # in sim/, the tenant workload in workloads/, the figure in harness/.
@@ -65,13 +60,12 @@ UNLAYERED_MODULES: FrozenSet[str] = frozenset({"errors", "params"})
 #: call ``time.*``/``datetime.now`` directly.  DET001 exempts them from its
 #: per-file clock ban and CLK008 enforces the stronger funnel property —
 #: no sim-critical function may even *reach* a clock read through the call
-#: graph except through these.  Profiling and queue lease deadlines are
-#: inherently wall-clock activities; their readings only ever describe the
-#: host, never the simulation.
+#: graph except through these.  Timing and profiling are inherently
+#: wall-clock activities; their readings only ever describe the host, never
+#: the simulation.
 CLOCK_FUNNEL_FILES: tuple = (
     "repro/harness/timer.py",
     "repro/perf/phases.py",
-    "repro/serve/clock.py",
 )
 
 #: Attribute names that are the memory layer's *internals*: the backing

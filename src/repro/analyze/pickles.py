@@ -1,10 +1,9 @@
 """PKL006 — the pickle boundary.
 
-Grid points cross two serialisation boundaries: ``ProcessPoolExecutor``
-ships every ``submit``/``map`` argument to a worker process, and the spool
-store base64-pickles ``JobRecord`` spec fields verbatim
-(serve/jobstore.py).  Both fail at *runtime*, far from the mistake, when a
-value captures something process-local: a lambda or nested function (not
+Grid points cross a serialisation boundary: ``ProcessPoolExecutor`` ships
+every ``submit``/``map`` argument to a worker process, and ``pickle.dumps``
+does the same to any value it is handed.  Both fail at *runtime*, far from
+the mistake, when a value captures something process-local: a lambda or nested function (not
 importable by name), an open file handle, a ``threading`` lock, or a live
 tracer (ring buffers and callbacks; obs/capture.py attaches per-worker
 tracers inside the worker for exactly this reason).
@@ -13,7 +12,7 @@ This checker resolves the values flowing into those sinks through the
 scope's single-assignment environment and flags any that are provably
 unpicklable.  It follows values into tuple/list/set/dict displays one
 level deep; what it cannot resolve it leaves to the harness's
-``verify_sample`` tripwire and the serve e2e tests.
+``verify_sample`` tripwire and the differential test tier.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .dataflow import (
 )
 from .protocol import (
     LOCK_CONSTRUCTORS,
-    PICKLED_CONSTRUCTOR_FIELDS,
-    PICKLING_HELPERS,
     PROCESS_POOL_CONSTRUCTORS,
     TRACER_CONSTRUCTORS,
 )
@@ -48,8 +45,8 @@ def _scopes(tree: ast.AST) -> Iterable[ast.AST]:
 class PickleBoundaryChecker(Checker):
     rule = "PKL006"
     description = (
-        "values crossing the pickle boundary (executor submit/map, pickled "
-        "spec fields) must not capture lambdas, nested functions, open "
+        "values crossing the pickle boundary (executor submit/map, "
+        "pickle.dumps) must not capture lambdas, nested functions, open "
         "handles, locks, or tracers"
     )
 
@@ -114,30 +111,15 @@ class PickleBoundaryChecker(Checker):
             for keyword in call.keywords:
                 yield keyword.value, boundary
             return
-        terminal = call_terminal(call)
-        # pickle.dumps(x) and the spool's base64 wrapper.
-        if terminal == "dumps" or terminal in PICKLING_HELPERS:
-            if (
-                terminal == "dumps"
-                and not (
-                    isinstance(head, ast.Attribute)
-                    and isinstance(head.value, ast.Name)
-                    and head.value.id == "pickle"
-                )
-            ):
-                return  # json.dumps and friends are not a pickle boundary
+        # pickle.dumps(x); json.dumps and friends are not a pickle boundary.
+        if (
+            isinstance(head, ast.Attribute)
+            and head.attr == "dumps"
+            and isinstance(head.value, ast.Name)
+            and head.value.id == "pickle"
+        ):
             for arg in call.args:
-                yield arg, f"{terminal}()"
-            return
-        # Declared pickled constructor fields (JobRecord(spec=..., key=...)).
-        fields = PICKLED_CONSTRUCTOR_FIELDS.get(terminal or "")
-        if fields:
-            for keyword in call.keywords:
-                if keyword.arg in fields:
-                    yield (
-                        keyword.value,
-                        f"the pickled field {terminal}.{keyword.arg}",
-                    )
+                yield arg, "dumps()"
 
     @staticmethod
     def _is_pool(receiver: ast.AST, env: dict, pools: Set[str]) -> bool:

@@ -3,66 +3,35 @@
 Like :mod:`repro.analyze.layers` for LAY002, this file writes down — once,
 reviewable — the conventions ATOM005/PKL006/TRC009 enforce: which calls
 produce *published* paths, which helpers are the sanctioned atomic writers,
-which constructor fields cross the pickle boundary, and which trace kinds
-must stay count-exact against which counters.  A new spool file, pickled
-field, or counted trace kind is added here, not hard-coded in a checker.
+which constructors ship values across the pickle boundary, and which trace
+kinds must stay count-exact against which counters.  A new published file,
+pool type, or counted trace kind is added here, not hard-coded in a
+checker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping
+from typing import Dict, FrozenSet
 
 # -- ATOM005: staged-rename publication --------------------------------------
 
-#: Method/function names whose *result* is a published spool or cache path —
-#: a path other processes resolve independently and may read at any moment.
+#: Method/function names whose *result* is a published cache path — a path
+#: other processes resolve independently and may read at any moment.
 #: Writing one directly exposes a torn file; stage to a tmp sibling and
 #: ``os.replace`` it into place instead.
 PUBLISHED_PATH_PRODUCERS: FrozenSet[str] = frozenset(
-    {
-        "path_for",       # harness/cache.py — cache entry
-        "meta_path",      # serve/jobstore.py — campaign meta
-        "points_path",    # serve/jobstore.py — campaign points
-        "lease_path",     # serve/jobstore.py — queue lease
-        "failure_path",   # serve/jobstore.py — failure marker
-        "cancel_path",    # serve/jobstore.py — cancel marker
-    }
-)
-
-#: The producers whose files carry an ownership token: after a steal-rename
-#: the writer must read the file back and compare tokens, because a racing
-#: stealer's rename can silently overwrite ours (SERVE.md, lease stealing).
-LEASE_PATH_PRODUCERS: FrozenSet[str] = frozenset({"lease_path"})
-
-#: Calls that count as the post-steal token read-back.
-LEASE_READ_BACK_CALLS: FrozenSet[str] = frozenset({"peek_lease", "read_json"})
-
-#: Helpers that already implement stage-then-rename internally; handing a
-#: published path to one of these is the *sanctioned* way to write it.
-ATOMIC_WRITE_HELPERS: FrozenSet[str] = frozenset(
-    {"write_json_atomic", "write_text_atomic"}
+    {"path_for"}  # harness/cache.py — cache entry
 )
 
 #: Path methods that derive a staging sibling from a published path.
 STAGING_DERIVATIONS: FrozenSet[str] = frozenset({"with_name", "with_suffix"})
 
-#: Packages (plus named modules) whose direct writes are durability-critical
-#: even when dataflow cannot prove the target is a published path: the spool
-#: protocol's correctness rests on every file in these scopes appearing
-#: atomically.
-DURABILITY_CRITICAL_PACKAGES: FrozenSet[str] = frozenset({"serve"})
+#: Modules whose direct writes are durability-critical even when dataflow
+#: cannot prove the target is a published path: resuming an interrupted run
+#: rests on every file they write appearing atomically.
 DURABILITY_CRITICAL_FILES = ("repro/harness/cache.py",)
 
 # -- PKL006: the pickle boundary ---------------------------------------------
-
-#: ``constructor name -> fields`` that are pickled verbatim into spool files
-#: (serve/jobstore.py base64-encodes them with ``pickle.dumps``).
-PICKLED_CONSTRUCTOR_FIELDS: Mapping[str, FrozenSet[str]] = {
-    "JobRecord": frozenset({"spec", "key"}),
-}
-
-#: Functions that forward their argument into ``pickle.dumps``.
-PICKLING_HELPERS: FrozenSet[str] = frozenset({"_to_b64"})
 
 #: Executor constructors whose ``submit``/``map`` arguments cross a process
 #: boundary (and therefore a pickle boundary).
@@ -94,8 +63,6 @@ TRACE_COUNTER_KINDS: Dict[str, str] = {
 }
 
 
-def is_durability_critical(package: object, posix_path: str) -> bool:
-    """Is a file in ATOM005's blanket scope (package or named module)?"""
-    if package in DURABILITY_CRITICAL_PACKAGES:
-        return True
-    return any(posix_path.endswith(s) for s in DURABILITY_CRITICAL_FILES)
+def is_durability_critical(posix_path: str) -> bool:
+    """Is a file in ATOM005's blanket scope?"""
+    return posix_path.endswith(DURABILITY_CRITICAL_FILES)

@@ -20,16 +20,18 @@ content hash:
 
 A corrupted or unreadable entry is treated as a miss (counted in
 ``stats.corrupt``) and recomputed — the cache can always be deleted safely.
-``CacheStats.simulations`` is maintained by the grid executor so callers can
+``CacheStats.simulations`` is maintained by the grid runner so callers can
 prove a warm re-run performed zero simulations.
 
-The cache is **multi-writer safe**: any number of processes (pool workers,
-``repro serve`` fleet members on a shared filesystem) may ``put`` the same
-fingerprint concurrently.  Each writer stages into its own uniquely named
+The cache is **multi-writer safe**: any number of processes (concurrent
+runs sharing one cache directory) may ``put`` the same fingerprint
+concurrently.  Each writer stages into its own uniquely named
 temporary file and publishes with one atomic rename, so readers only ever
 see either no entry or one complete entry — and because results are a pure
 function of the spec, every racing writer publishes identical content, so
-"last rename wins" is indistinguishable from "first writer wins".
+"last rename wins" is indistinguishable from "first writer wins".  A process
+killed mid-``put`` leaves at most an orphaned staging file, which no reader
+ever opens: the point is simply missing and a rerun simulates it again.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     corrupt: int = 0
-    #: Points actually simulated by the grid executor on this cache's watch
+    #: Points actually simulated by the grid runner on this cache's watch
     #: (a warm re-run of an identical grid must leave this at zero).
     simulations: int = 0
 
@@ -131,17 +133,7 @@ class ResultCache:
         self, spec: ExperimentSpec, label: Optional[str] = None
     ) -> Optional[RunResult]:
         """The cached result for this point, or ``None`` (never raises)."""
-        return self.get_fingerprint(self.fingerprint(spec, label))
-
-    def get_fingerprint(self, fingerprint: str) -> Optional[RunResult]:
-        """The cached result for a known fingerprint, or ``None``.
-
-        Same corrupt→miss semantics as :meth:`get`.  The ``repro serve``
-        client assembles campaign results through this: job records carry
-        the fingerprint, so completed points load without re-hashing (or
-        even unpickling) their specs.
-        """
-        path = self.path_for(fingerprint)
+        path = self.path_for(self.fingerprint(spec, label))
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             result = run_result_from_dict(payload["result"])
@@ -155,15 +147,6 @@ class ResultCache:
             return None
         self.stats.hits += 1
         return result
-
-    def has_fingerprint(self, fingerprint: str) -> bool:
-        """Whether an entry exists for ``fingerprint`` (no stats, no parse).
-
-        A cheap doneness probe for progress polling; a torn entry can never
-        be observed (publication is one atomic rename), though a corrupt one
-        would only be caught by :meth:`get_fingerprint`.
-        """
-        return self.path_for(fingerprint).is_file()
 
     def put(
         self,

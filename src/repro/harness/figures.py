@@ -40,7 +40,7 @@ from .config import (
     consolidated,
     mixed_pmdk,
 )
-from .parallel import GridExecutor, GridPoint, run_keyed
+from .parallel import GridPoint, run_keyed
 from .report import FigureResult
 
 #: The PMDK micro-benchmarks plus Echo, as in Figure 6.
@@ -159,7 +159,6 @@ def fig2(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """LLC-Bounded vs Ideal unbounded throughput, 16 threads (Section III-C).
 
@@ -170,7 +169,7 @@ def fig2(
         "Throughput of LLC-Bounded vs Ideal unbounded HTM (normalised)",
         ["benchmark", "llc_bounded", "ideal", "ideal_speedup"],
     )
-    runs = run_keyed(fig2_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig2_grid(quick, scale, seed), jobs=jobs, cache=cache)
     for name in _fig2_benchmarks(quick):
         bounded = runs[(name, "LLC-Bounded")]
         ideal = runs[(name, "Ideal")]
@@ -209,7 +208,6 @@ def fig6(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """Throughput with 100 KB persistent transactions (Section VI-A).
 
@@ -222,7 +220,7 @@ def fig6(
         "Normalised throughput, 100 KB persistent transactions",
         ["benchmark"] + [c.label for c in configs],
     )
-    runs = run_keyed(fig6_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig6_grid(quick, scale, seed), jobs=jobs, cache=cache)
     for name in _fig2_benchmarks(quick):
         baseline = runs[(name, configs[0].label)]
         row: List[object] = [name]
@@ -271,7 +269,6 @@ def fig7(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """Abort rates of UHTM, decomposed by cause (Section VI-A).
 
@@ -292,7 +289,7 @@ def fig7(
         ],
     )
     footprints, configs = _fig7_matrix(quick)
-    runs = run_keyed(fig7_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig7_grid(quick, scale, seed), jobs=jobs, cache=cache)
     for footprint_kb in footprints:
         for config in configs:
             run = runs[(footprint_kb, config.label)]
@@ -362,7 +359,6 @@ def fig8(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """Echo with long-running read-only transactions (Section VI-B).
 
@@ -376,7 +372,7 @@ def fig8(
         ["long_tx_pct", "llc_bounded", "uhtm", "uhtm_speedup"],
     )
     ratios = _fig8_ratios(quick)
-    runs = run_keyed(fig8_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig8_grid(quick, scale, seed), jobs=jobs, cache=cache)
     bounded_base = runs[("LLC-Bounded", ratios[0])].throughput
     uhtm_base = runs[("4k_opt", ratios[0])].throughput
     for ratio in ratios:
@@ -455,7 +451,6 @@ def fig9(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> Tuple[FigureResult, FigureResult]:
     """Hybrid key-value stores vs transaction footprint (Section VI-C).
 
@@ -463,7 +458,7 @@ def fig9(
     operations batched per transaction; no LLC-hungry co-runners.
     """
     configs, footprints, workloads = _fig9_matrix(quick)
-    runs = run_keyed(fig9_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig9_grid(quick, scale, seed), jobs=jobs, cache=cache)
     results = []
     for figure, workload in workloads:
         result = FigureResult(
@@ -535,7 +530,6 @@ def fig10(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """Undo vs redo logging for overflowed DRAM blocks (Section VI-D).
 
@@ -549,7 +543,7 @@ def fig10(
         ["footprint_kb", "undo", "redo", "undo_advantage"],
     )
     footprints, sig_sizes = _fig10_matrix(quick)
-    runs = run_keyed(fig10_grid(quick, scale, seed), jobs=jobs, cache=cache, executor=executor)
+    runs = run_keyed(fig10_grid(quick, scale, seed), jobs=jobs, cache=cache)
     for footprint_kb in footprints:
         throughput = {}
         for policy in (DramLogPolicy.UNDO, DramLogPolicy.REDO):
@@ -603,7 +597,6 @@ def abort_claim(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """The 99% -> 26% -> 9% abort-rate reduction claim (Section IV-D).
 
@@ -617,10 +610,7 @@ def abort_claim(
         ["config", "abort_rate", "false_positive_share"],
     )
     runs = run_keyed(
-        abort_claim_grid(quick, scale, seed),
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
+        abort_claim_grid(quick, scale, seed), jobs=jobs, cache=cache
     )
     for label, _ in _ABORT_CLAIM_CONFIGS:
         run = runs[label]
@@ -737,7 +727,6 @@ def traffic(
     seed: int = 2020,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> FigureResult:
     """Open-loop multi-tenant tail latency (the ROADMAP traffic scenario).
 
@@ -764,12 +753,7 @@ def traffic(
         ],
     )
     inners, arrivals = traffic_matrix(quick)
-    runs = run_keyed(
-        traffic_grid(quick, scale, seed),
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-    )
+    runs = run_keyed(traffic_grid(quick, scale, seed), jobs=jobs, cache=cache)
     for inner in inners:
         for arrival in arrivals:
             for domains, _ in TRAFFIC_DOMAINS:

@@ -21,20 +21,15 @@ re-running one pooled point serially.
 
 A :class:`~repro.harness.cache.ResultCache` short-circuits points whose
 content hash already has a stored result, so re-running a figure only
-simulates changed points.
-
-``run_grid_detailed`` also accepts a pluggable ``executor`` — anything
-matching the :data:`GridExecutor` contract ``(points, cache) ->
-GridOutcome`` — which replaces the local pool entirely.  That is how the
-``repro serve`` job service slots in underneath every figure driver: the
-same grids, submitted to a spool and executed by a sharded worker fleet,
-assembled back in submission order with the same bit-identical contract.
-:func:`execute_point` is the shared execution core both paths run.
+simulates changed points.  Each simulated point is published to the cache
+(one atomic rename) as soon as it finishes, so a run that is killed part
+way through resumes where it stopped: the rerun simulates only the points
+that never reached the cache.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,23 +87,41 @@ class GridOutcome:
 
 
 def execute_point(point: GridPoint) -> Tuple[RunResult, float]:
-    """The shared execution core: one grid point to one timed result.
+    """One grid point to one timed result.
 
-    Every execution backend funnels through here — the serial loop, the
-    process pool (it must stay a module-level function: it is pickled to
-    the workers), and each ``repro serve`` fleet worker.
+    The serial loop and the process pool both run this (it must stay a
+    module-level function: it is pickled to the workers).
     """
     stopwatch = Stopwatch()
     result = run_experiment(point.spec, point.label)
     return result, stopwatch.elapsed_s
 
 
-#: A pluggable grid backend: given the full point list and an optional
-#: shared cache, return a complete :class:`GridOutcome` in submission order.
-#: ``repro.serve.client.ServiceExecutor`` is the non-local implementation.
-GridExecutor = Callable[
-    [Sequence[GridPoint], Optional[ResultCache]], "GridOutcome"
-]
+def _execute_pending(
+    points: Sequence[GridPoint],
+    pending: List[int],
+    workers: int,
+    on_done: Callable[[int, Tuple[RunResult, float]], None],
+) -> None:
+    """Simulate ``points[i]`` for every ``i`` in ``pending``, calling
+    ``on_done(i, (result, elapsed_s))`` as each one finishes.
+
+    With more than one worker the points run on a process pool and
+    ``on_done`` sees them in completion order.  If a point or ``on_done``
+    raises, the points that have not started yet are cancelled.
+    """
+    if workers <= 1:
+        for index in pending:
+            on_done(index, execute_point(points[index]))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(execute_point, points[i]): i for i in pending}
+        try:
+            for future in as_completed(futures):
+                on_done(futures[future], future.result())
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def run_grid_detailed(
@@ -117,31 +130,18 @@ def run_grid_detailed(
     cache: Optional[ResultCache] = None,
     verify_sample: bool = False,
     progress: Optional[Callable[[PointRun], None]] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> GridOutcome:
     """Run every point, in order, across ``jobs`` worker processes.
 
     Results are returned in ``points`` order no matter how many workers run
     or in which order they finish.  With a ``cache``, points whose
     fingerprint already has an entry are served from disk and **not**
-    simulated; fresh results are stored back.  ``verify_sample=True``
-    re-runs the first pooled point serially in the parent and raises
-    :class:`SimulationError` if the pool produced a different result —
-    a spot check of the bit-identical contract.
-
-    An ``executor`` replaces the local pool entirely (``jobs`` and
-    ``verify_sample`` then do not apply): the grid is handed to it whole
-    and its :class:`GridOutcome` — same submission order, same cache
-    semantics — is returned, after the ``progress`` callback has seen every
-    run.  Pass ``repro.serve``'s ``ServiceExecutor`` to run the grid on a
-    worker fleet instead of in-process.
+    simulated; every fresh result is stored back as soon as its point
+    finishes.  ``verify_sample=True`` re-runs the first pooled point
+    serially in the parent and raises :class:`SimulationError` if the pool
+    produced a different result — a spot check of the bit-identical
+    contract.  Nothing is stored before that check has passed.
     """
-    if executor is not None:
-        outcome = executor(points, cache)
-        if progress is not None:
-            for run in outcome.runs:
-                progress(run)
-        return outcome
     jobs = max(1, int(jobs))
     fingerprints = [
         cache.fingerprint(p.spec, p.label) if cache is not None
@@ -159,58 +159,52 @@ def run_grid_detailed(
         else:
             pending.append(index)
 
+    workers = min(jobs, len(pending))
     executed: Dict[int, Tuple[RunResult, float]] = {}
-    pooled = jobs > 1 and len(pending) > 1
-    if pooled:
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute_point, [points[i] for i in pending]))
-        executed = dict(zip(pending, outcomes))
-    else:
-        for index in pending:
-            executed[index] = execute_point(points[index])
+    # Points that finished before the sample was verified wait here, so a
+    # broken pooled result can never poison later runs.
+    held: Optional[List[int]] = [] if verify_sample and workers > 1 else None
 
-    if verify_sample and pooled:
-        # Check the contract before anything is published to the cache, so a
-        # broken pooled result can never poison later runs.
-        sample = pending[0]
-        serial_result, _ = execute_point(points[sample])
-        pooled_result = executed[sample][0]
-        if run_result_to_dict(serial_result) != run_result_to_dict(pooled_result):
+    def publish(index: int) -> None:
+        if cache is not None:
+            cache.put(points[index].spec, executed[index][0], points[index].label)
+            cache.count_simulations(1)
+
+    def on_done(index: int, outcome: Tuple[RunResult, float]) -> None:
+        nonlocal held
+        executed[index] = outcome
+        if held is None:
+            publish(index)
+            return
+        held.append(index)
+        if index != pending[0]:
+            return
+        serial_result, _ = execute_point(points[index])
+        if run_result_to_dict(serial_result) != run_result_to_dict(outcome[0]):
             raise SimulationError(
                 "parallel execution broke the bit-identical contract for "
-                f"point {points[sample].spec.name!r} "
-                f"[label={labels[sample]} spec={fingerprints[sample][:12]}]: "
+                f"point {points[index].spec.name!r} "
+                f"[label={labels[index]} spec={fingerprints[index][:12]}]: "
                 "a serial re-run produced a different RunResult"
             )
+        for verified in held:
+            publish(verified)
+        held = None
 
-    if cache is not None:
-        cache.count_simulations(len(pending))
-        for index in pending:
-            result, _ = executed[index]
-            cache.put(points[index].spec, result, points[index].label)
+    _execute_pending(points, pending, workers, on_done)
 
     runs: List[PointRun] = []
     for index, point in enumerate(points):
-        if cached_results[index] is not None:
-            run = PointRun(
-                key=point.key,
-                label=labels[index],
-                fingerprint=fingerprints[index],
-                cached=True,
-                elapsed_s=0.0,
-                result=cached_results[index],
-            )
-        else:
-            result, elapsed_s = executed[index]
-            run = PointRun(
-                key=point.key,
-                label=labels[index],
-                fingerprint=fingerprints[index],
-                cached=False,
-                elapsed_s=elapsed_s,
-                result=result,
-            )
+        cached = cached_results[index]
+        result, elapsed_s = (cached, 0.0) if cached is not None else executed[index]
+        run = PointRun(
+            key=point.key,
+            label=labels[index],
+            fingerprint=fingerprints[index],
+            cached=cached is not None,
+            elapsed_s=elapsed_s,
+            result=result,
+        )
         if progress is not None:
             progress(run)
         runs.append(run)
@@ -224,15 +218,10 @@ def run_grid(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     verify_sample: bool = False,
-    executor: Optional[GridExecutor] = None,
 ) -> List[RunResult]:
     """Like :func:`run_grid_detailed`, returning just the ordered results."""
     return run_grid_detailed(
-        points,
-        jobs=jobs,
-        cache=cache,
-        verify_sample=verify_sample,
-        executor=executor,
+        points, jobs=jobs, cache=cache, verify_sample=verify_sample
     ).results
 
 
@@ -240,14 +229,11 @@ def run_keyed(
     points: Sequence[GridPoint],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    executor: Optional[GridExecutor] = None,
 ) -> Dict[Any, RunResult]:
     """Run a grid and index the results by each point's ``key``.
 
     Figure drivers build their grid once (attaching a tuple key per point),
     fan it out here, then assemble rows by key lookup — the same code path
-    whether ``jobs`` is 1 or 16, and whether execution is in-process or on
-    a ``repro serve`` fleet (``executor``).
+    whether ``jobs`` is 1 or 16.
     """
-    outcome = run_grid_detailed(points, jobs=jobs, cache=cache, executor=executor)
-    return outcome.by_key()
+    return run_grid_detailed(points, jobs=jobs, cache=cache).by_key()

@@ -423,7 +423,7 @@ class MemoryController:
                     # A power failure can strike recovery itself; replay is
                     # idempotent, so a later attempt simply starts over.
                     self.fault_injector.on_recovery_replay(replayed)
-        self.nvm_log.reclaim_all(committed | aborted)
+        self.nvm_log.reclaim_all(committed | aborted, marks=True)
         return replayed
 
     def discard_uncommitted_nvm_records(self) -> int:

@@ -1,7 +1,7 @@
 """``python -m repro traffic`` — the open-loop traffic scenario, end to end.
 
-Runs the ``traffic`` figure grid (cacheable, pool-parallel, serve-able like
-any figure), prints the honest tail-latency table, then traces the
+Runs the ``traffic`` figure grid (cacheable and pool-parallel like any
+figure), prints the honest tail-latency table, then traces the
 shared-vs-isolated domain configurations and prints the abort-induced
 tail-amplification breakdown from :mod:`repro.traffic.report`.
 

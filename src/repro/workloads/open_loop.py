@@ -30,7 +30,7 @@ Per-request latency lands in the ``traffic.latency_ns`` histograms (exact
 :class:`~repro.sim.stats.ReservoirHistogram` samples), which
 :func:`~repro.harness.metrics.collect_metrics` folds into the cacheable
 :class:`~repro.harness.metrics.RunResult` — so traffic points flow through
-``run_grid``, the result cache, and the job service like any figure point.
+``run_grid`` and the result cache like any figure point.
 """
 
 from __future__ import annotations

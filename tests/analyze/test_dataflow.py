@@ -229,32 +229,50 @@ class TestIntraprocedural:
 
 
 class TestRealTree:
-    def test_queue_calls_write_json_atomic_through_the_import(self):
-        project, errors = Project.load([REPRO_ROOT / "serve"])
+    def test_figure_driver_calls_run_keyed_through_the_import(self):
+        project, errors = Project.load([REPRO_ROOT / "harness"])
         assert errors == []
         index, graph = engine_for(project)
-        queue_path = str((REPRO_ROOT / "serve" / "queue.py").resolve())
-        queue = index.modules[queue_path]
-        try_claim = queue.functions["JobQueue.try_claim"]
+        figures_path = str((REPRO_ROOT / "harness" / "figures.py").resolve())
+        fig2 = index.modules[figures_path].functions["fig2"]
         callees = {
             (e.kind, e.callee.qualname)
-            for e in graph.edges.get(try_claim.key, [])
+            for e in graph.edges.get(fig2.key, [])
         }
-        assert ("import", "write_json_atomic") in callees
+        assert ("import", "run_keyed") in callees
+        assert ("local", "fig2_grid") in callees
 
-    def test_atom005_propagates_lease_path_into_the_helper(self):
+    def test_atom005_propagates_the_cache_path_into_a_helper(self, tmp_path):
+        """Factor the real cache's staged write out of ``put``: the
+        published path follows the call into the helper's parameter."""
+        from repro.analyze import run_analysis
         from repro.analyze.core import registered_checkers
 
-        project, _ = Project.load([REPRO_ROOT / "serve"])
+        source = (REPRO_ROOT / "harness" / "cache.py").read_text(
+            encoding="utf-8"
+        )
+        needle = "        tmp = path.with_name(\n"
+        assert needle in source
+        copy = tmp_path / "cache.py"
+        copy.write_text(
+            source.replace(
+                needle,
+                "        return self._stage(path, payload)\n"
+                "\n"
+                "    def _stage(self, path, payload):\n" + needle,
+            ),
+            encoding="utf-8",
+        )
+        project, errors = Project.load([copy])
+        assert errors == []
         checker = registered_checkers()["ATOM005"]
-        params = checker._published_params(project)
         by_name = {
             f"{Path(key.path).name}:{key.qualname}": value
-            for key, value in params.items()
+            for key, value in checker._published_params(project).items()
         }
-        assert by_name["jobstore.py:write_json_atomic"] == {
-            "path": "lease_path"
-        }
+        assert by_name == {"cache.py:ResultCache._stage": {"path": "path_for"}}
+        # The helper still stages and renames, so the refactor is clean.
+        assert run_analysis([copy], rules=["ATOM005"]).findings == []
 
     def test_no_sim_critical_function_reaches_the_clock(self):
         """The CLK008 invariant, asserted directly against the engine."""

@@ -125,7 +125,7 @@ class TestCli:
             assert rule in out
 
     def test_fail_on_error_lets_warnings_pass(self, capsys):
-        blanket = str(FIXTURES / "repro" / "serve" / "blanket_bad.py")
+        blanket = str(FIXTURES / "repro" / "harness" / "cache.py")
         assert lint_main(["--rules", "ATOM005", blanket]) == 1
         assert (
             lint_main(["--rules", "ATOM005", "--fail-on", "error", blanket])

@@ -1,34 +1,20 @@
-"""Bad: published spool paths written without the staged-rename discipline."""
-
-import json
+"""Bad: published cache paths written without the staged-rename discipline."""
 
 
-def write_json_atomic(path, payload):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
-
-
-def direct_write(store, meta):
-    path = store.points_path(meta.campaign_id)
+def direct_write(cache, fingerprint):
+    path = cache.path_for(fingerprint)
     with open(path, "w") as handle:  # direct write to a published path
-        handle.write("records")
+        handle.write("result")
 
 
-def staged_never_published(store, meta):
-    points = store.points_path(meta.campaign_id)
-    tmp = points.with_name(points.name + ".tmp")
-    tmp.write_text("records")  # staged but never renamed into place
+def staged_never_published(cache, fingerprint):
+    entry = cache.path_for(fingerprint)
+    tmp = entry.with_name(entry.name + ".tmp")
+    tmp.write_text("result")  # staged but never renamed into place
 
 
-def rename_before_flush(store, meta):
-    points = store.points_path(meta.campaign_id)
-    tmp = points.with_name(points.name + ".tmp")
-    tmp.replace(points)  # published before the content lands
-    tmp.write_text("records")
-
-
-def steal_without_read_back(store, campaign_id, index, lease):
-    path = store.lease_path(campaign_id, index)
-    write_json_atomic(path, lease)  # steal-rename, token never re-checked
-    return lease
+def rename_before_flush(cache, fingerprint):
+    entry = cache.path_for(fingerprint)
+    tmp = entry.with_name(entry.name + ".tmp")
+    tmp.replace(entry)  # published before the content lands
+    tmp.write_text("result")

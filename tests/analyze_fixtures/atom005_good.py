@@ -5,41 +5,24 @@ import json
 import os
 
 
-def write_json_atomic(path, payload):
-    tmp = path.with_name(path.name + ".tmp")
+def publish_entry(cache, fingerprint, payload):
+    entry = cache.path_for(fingerprint)
+    tmp = entry.with_name(entry.name + ".tmp")
     tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
+    tmp.replace(entry)
 
 
-def peek_lease(path):
-    return None
-
-
-def publish_points(store, meta, payload):
-    points = store.points_path(meta.campaign_id)
-    tmp = points.with_name(points.name + ".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(points)
-
-
-def publish_meta_via_os_replace(store, meta, payload):
-    target = store.meta_path(meta.campaign_id)
+def publish_via_os_replace(cache, fingerprint, payload):
+    target = cache.path_for(fingerprint)
     tmp = target.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload))
     os.replace(tmp, target)
 
 
-def claim(store, campaign_id, index, lease):
-    path = store.lease_path(campaign_id, index)
-    with path.open("x") as handle:  # exclusive create IS the atomic claim
-        handle.write(json.dumps(lease))
-
-
-def steal_with_read_back(store, campaign_id, index, lease):
-    path = store.lease_path(campaign_id, index)
-    write_json_atomic(path, lease)
-    current = peek_lease(path)  # whose token actually landed?
-    return current
+def claim(cache, fingerprint, payload):
+    path = cache.path_for(fingerprint)
+    with path.open("x") as handle:  # exclusive create IS an atomic claim
+        handle.write(json.dumps(payload))
 
 
 def replace_decoys(spec, text):

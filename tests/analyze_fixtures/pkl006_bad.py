@@ -5,10 +5,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 
 
-def _to_b64(value):
-    return pickle.dumps(value)
-
-
 def map_a_lambda(points):
     transform = lambda point: point.spec  # noqa: E731
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -30,14 +26,13 @@ def pickle_an_open_handle(path):
 
 def pickle_a_lock():
     guard = threading.Lock()
-    return _to_b64(guard)
+    return pickle.dumps(guard)
 
 
-class JobRecord:
-    def __init__(self, spec, key):
-        self.spec = spec
-        self.key = key
+def run_traced(tracer):
+    return tracer
 
 
-def record_capturing_a_tracer(system, fingerprint):
-    return JobRecord(spec=system.tracer, key=fingerprint)
+def submit_a_tracer(system):
+    with ProcessPoolExecutor() as pool:
+        return pool.submit(run_traced, system.tracer)

@@ -150,7 +150,7 @@ class TestResultCache:
         assert path.is_file()
 
     def test_fingerprint_pinned_across_the_engine_field_removal(self):
-        """Existing caches and serve spools stay valid without a version bump.
+        """Existing caches stay valid without a version bump.
 
         ``ExperimentSpec`` used to carry an ``engine`` field that the
         fingerprint dropped before hashing.  This literal is the fingerprint
@@ -165,3 +165,65 @@ class TestResultCache:
         assert spec_fingerprint(point.spec) == (
             "ba280302ce761d8c11d043e1402ca7b4ce363909648292f6f64383ba606a955a"
         )
+
+
+class TestPublication:
+    """What ``put`` leaves on disk, and what ``get`` will read back."""
+
+    def test_put_leaves_only_the_published_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put(small_spec(), sample_result())
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [path]
+
+    def test_entry_records_its_provenance(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put(small_spec(), sample_result("x"), label="x")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["fingerprint"] == cache.fingerprint(small_spec(), "x")
+        assert payload["cache_version"] == CACHE_VERSION
+        assert payload["spec_name"] == "cache-test"
+        assert payload["label"] == "x"
+        assert run_result_from_dict(payload["result"]) == sample_result("x")
+
+    def test_staging_file_alone_is_a_clean_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(cache.fingerprint(small_spec()))
+        path.parent.mkdir(parents=True)
+        payload = {"result": run_result_to_dict(sample_result())}
+        path.with_name(f"{path.name}.77.0.tmp").write_text(
+            json.dumps(payload), encoding="utf-8"
+        )
+        assert cache.get(small_spec()) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 0
+
+    def test_unreadable_entry_is_a_corrupt_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(cache.fingerprint(small_spec()))
+        path.mkdir(parents=True)  # a directory where the entry should be
+        assert cache.get(small_spec()) is None
+        assert cache.stats.corrupt == cache.stats.misses == 1
+
+    def test_label_selects_its_own_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(small_spec(), sample_result("a"), label="a")
+        assert cache.get(small_spec(), "a") == sample_result("a")
+        assert cache.get(small_spec()) is None
+        assert cache.get(small_spec(), "b") is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+
+    def test_second_put_replaces_the_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = cache.put(small_spec(), sample_result())
+        second = cache.put(
+            small_spec(), dataclasses.replace(sample_result(), commits=9)
+        )
+        assert first == second
+        assert cache.get(small_spec()).commits == 9
+        assert cache.stats.stores == 2
+        assert [p.name for p in first.parent.iterdir()] == [first.name]
+
+    def test_get_does_not_create_directories(self, tmp_path):
+        cache = ResultCache(tmp_path / "absent")
+        assert cache.get(small_spec()) is None
+        assert not (tmp_path / "absent").exists()

@@ -1,10 +1,9 @@
 """Multi-writer safety of ``ResultCache.put``: racing processes on the
 same fingerprint must land exactly one valid artifact.
 
-This is the property the job service leans on: duplicated execution (a
-stolen lease racing its not-quite-dead owner) resolves to concurrent
-``put`` calls for the same content — which must never tear the artifact
-or leave staging droppings behind.
+Two runs sharing one cache directory resolve duplicated execution of a
+point to concurrent ``put`` calls for the same content — which must never
+tear the artifact or leave staging droppings behind.
 """
 
 from __future__ import annotations

@@ -10,8 +10,15 @@ identical metric dicts per point and byte-identical exported JSON.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import time
+
 import pytest
 
+from repro.errors import SimulationError
+from repro.harness import parallel
+from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentSpec, consolidated
 from repro.harness.export import to_json
 from repro.harness.metrics import run_result_to_dict
@@ -89,6 +96,31 @@ class TestBitIdenticalGrid:
         outcome = run_grid_detailed(points, jobs=2, verify_sample=True)
         assert outcome.simulated == len(points)
 
+    def test_verify_sample_mismatch_publishes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial re-run that disagrees with the pool raises, and no
+        point reaches the cache, not even those that finished first."""
+        points = build_grid(base_spec(), small_axes())
+        sample = points[0].spec
+        parent = os.getpid()
+        simulate = parallel.run_experiment
+
+        def skewed(spec, label=None):
+            result = simulate(spec, label)
+            if os.getpid() == parent:  # the serial re-check disagrees
+                return dataclasses.replace(result, commits=result.commits + 1)
+            if spec == sample:  # the other points finish first in the pool
+                time.sleep(1.0)
+            return result
+
+        monkeypatch.setattr(parallel, "run_experiment", skewed)
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SimulationError, match="bit-identical contract"):
+            run_grid_detailed(points, jobs=2, cache=cache, verify_sample=True)
+        assert list((tmp_path / "cache").glob("*/*")) == []
+        assert cache.stats.stores == 0
+
     def test_point_order_is_submission_order(self):
         """Results line up with points regardless of completion order."""
         points = build_grid(base_spec(), small_axes())
@@ -101,8 +133,6 @@ class TestBitIdenticalGrid:
 
 class TestWarmCacheRerun:
     def test_second_run_simulates_nothing_and_matches(self, tmp_path):
-        from repro.harness.cache import ResultCache
-
         points = build_grid(base_spec(), small_axes())
         cold_cache = ResultCache(tmp_path / "cache")
         cold = run_grid_detailed(points, jobs=2, cache=cold_cache)
@@ -122,8 +152,6 @@ class TestWarmCacheRerun:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_cache_is_transparent_to_results(self, tmp_path, jobs):
         points = build_grid(base_spec(), small_axes())
-        from repro.harness.cache import ResultCache
-
         uncached = run_grid(points, jobs=jobs)
         cached = run_grid(
             points, jobs=jobs, cache=ResultCache(tmp_path / "c")

@@ -208,6 +208,59 @@ class TestCrashRecovery:
         controller.recover()
         assert controller.nvm.clone_contents() == first
 
+    def test_recovery_drops_the_marks_it_acted_on(self, controller):
+        log = controller.nvm_log
+        for tx_id in (1, 2, 3):
+            addr = nvm_addr(controller, tx_id * 64)
+            log.append_data(RecordKind.REDO, tx_id, addr, {addr: tx_id})
+        log.append_mark(RecordKind.COMMIT, 1)
+        log.append_mark(RecordKind.COMMIT, 2)
+        log.append_mark(RecordKind.ABORT, 3)
+        controller.crash()
+        assert controller.recover() == 2
+        assert len(log) == 0
+        assert log.committed_tx_ids() == [] and log.aborted_tx_ids() == []
+        assert controller.recover() == 0
+        assert controller.nvm.load(nvm_addr(controller, 2 * 64)) == 2
+        assert controller.nvm.load(nvm_addr(controller, 3 * 64)) == 0
+
+    @pytest.mark.parametrize(
+        "commits, aborts, unmarked",
+        [(2, 1, 0), (0, 1, 0), (3, 0, 0), (1, 1, 1), (0, 0, 2), (2, 2, 2),
+         (1, 0, 3)],
+    )
+    def test_recovery_leaves_only_unmarked_data(
+        self, controller, commits, aborts, unmarked
+    ):
+        """Marked transactions leave the log whole, data and marks; an
+        unmarked one keeps its data for the post-crash discard."""
+        log = controller.nvm_log
+        tx_ids = list(range(1, commits + aborts + unmarked + 1))
+        committed = tx_ids[:commits]
+        aborted = tx_ids[commits:commits + aborts]
+        in_flight = tx_ids[commits + aborts:]
+        for tx_id in tx_ids:
+            for line in range(2):
+                addr = nvm_addr(controller, (tx_id * 2 + line) * 64)
+                log.append_data(RecordKind.REDO, tx_id, addr, {addr: tx_id})
+        for tx_id in committed:
+            log.append_mark(RecordKind.COMMIT, tx_id)
+        for tx_id in aborted:
+            log.append_mark(RecordKind.ABORT, tx_id)
+        controller.crash()
+        assert controller.recover() == 2 * commits
+        assert log.committed_tx_ids() == [] and log.aborted_tx_ids() == []
+        assert log.data_tx_ids() == in_flight
+        assert len(log) == 2 * unmarked
+        assert controller.recover() == 0
+        assert len(log) == 2 * unmarked
+        for tx_id in tx_ids:
+            for line in range(2):
+                value = controller.nvm.load(
+                    nvm_addr(controller, (tx_id * 2 + line) * 64)
+                )
+                assert value == (tx_id if tx_id in committed else 0)
+
     def test_recovery_rebuilds_log_once(self, controller):
         """Recovery reclaims every marked transaction, and the discard
         every unmarked one, in a single pass over the log's columns each."""
@@ -225,10 +278,10 @@ class TestCrashRecovery:
         log._rebuild = lambda doomed: (rebuilds.append(len(doomed)), rebuild(doomed))
         controller.crash()
         assert controller.recover() == 150 * 3
-        assert rebuilds == [170 * 3]
+        assert rebuilds == [170 * 3 + 170]  # the marks go in the same pass
         assert controller.discard_uncommitted_nvm_records() == 30 * 3
-        assert rebuilds == [170 * 3, 30 * 3]
+        assert rebuilds == [170 * 3 + 170, 30 * 3]
         assert log.data_tx_ids() == []
-        assert len(log) == 170  # the marks stay until compaction
+        assert len(log) == 0
         assert controller.nvm.load(nvm_addr(controller, (150 * 4 + 2) * 64)) == 150
         assert controller.nvm.load(nvm_addr(controller, (151 * 4) * 64)) == 0
