@@ -2,16 +2,23 @@
 
 Private L1 data caches per core sit under one shared LLC.  The hierarchy is
 inclusive: installing in the L1 requires LLC residency, and an LLC eviction
-back-invalidates every L1 copy.  The HTM design hooks two callbacks:
+back-invalidates every L1 copy.  Cached copies carry tags, dirty bits and
+MESI states only: a line's transactional state (Tx-Owner, Tx-Sharers) lives
+in the :class:`~repro.cache.directory.Directory`, the one per-line record.
+The HTM design hooks two callbacks, both fed from the line's directory
+entry:
 
-* ``on_l1_evict(core_id, meta)`` — a transactionally written line left a
-  private cache; DHTM-style designs append it to the overflow list so commit
-  can locate the write-set in the LLC without scanning.
-* ``on_llc_evict(meta, directory_entry)`` — a line left the on-chip domain;
-  the design migrates its transactional tracking (capacity abort for bounded
-  designs, signature/exact-set insertion for unbounded ones) and, for
-  written lines, moves its speculative data off-chip (undo log + in-place
-  for DRAM, DRAM-cache buffering for NVM).
+* ``on_l1_evict(core_id, meta, directory_entry)`` — a dirty line with a
+  Tx-Owner left a private cache; DHTM-style designs append it to the
+  overflow list so commit can locate the write-set in the LLC without
+  scanning.
+* ``on_llc_evict(meta, directory_entry)`` — a line with a live directory
+  entry left the on-chip domain; the design migrates its transactional
+  tracking (capacity abort for bounded designs, signature/exact-set
+  insertion for unbounded ones) and, for written lines, moves its
+  speculative data off-chip (undo log + in-place for DRAM, DRAM-cache
+  buffering for NVM).  The ``llc.evict`` trace event is emitted at the
+  same point, its ``writer`` and ``readers`` taken from that entry.
 
 Designs that check off-chip tracking only on LLC misses also install
 ``on_llc_miss(line_addr, is_write, tx_id, domain_id)``.  :meth:`access`
@@ -35,8 +42,8 @@ from .coherence import CoherenceRequest, MesiState, next_state_for_holder
 from .directory import Directory, DirectoryEntry
 from .setassoc import CacheLineMeta, SetAssociativeArray
 
-L1EvictCallback = Callable[[int, CacheLineMeta], None]
-LLCEvictCallback = Callable[[CacheLineMeta, Optional[DirectoryEntry]], None]
+L1EvictCallback = Callable[[int, CacheLineMeta, DirectoryEntry], None]
+LLCEvictCallback = Callable[[CacheLineMeta, DirectoryEntry], None]
 LLCMissCallback = Callable[[int, bool, Optional[int], int], None]
 
 
@@ -86,9 +93,11 @@ class CacheHierarchy:
         self.on_l1_evict: Optional[L1EvictCallback] = None
         self.on_llc_evict: Optional[LLCEvictCallback] = None
         self.on_llc_miss: Optional[LLCMissCallback] = None
+        #: Dirty LLC victims without a Tx-Owner (bandwidth accounting).
         self.writebacks = 0
-        #: Optional event tracer (see :mod:`repro.obs`): transactional LLC
-        #: evictions are emitted as ``llc.evict`` events when attached.
+        #: Optional event tracer (see :mod:`repro.obs`): LLC evictions of
+        #: lines with a directory entry are emitted as ``llc.evict`` events
+        #: when attached.
         self.tracer = None
 
     # -- the demand access path -----------------------------------------------
@@ -148,44 +157,28 @@ class CacheHierarchy:
                 # The LLC probe above already missed, so fill unconditionally.
                 _, llc_victims = llc.fill(line_addr)
                 for victim in llc_victims:
-                    # Back-invalidate L1 copies, folding their freshest
-                    # state in.
+                    # Back-invalidate L1 copies, folding their dirty bits in.
                     victim_line = victim.line_addr
                     holders = l1_holders.pop(victim_line, None)
                     if holders:
                         for holder in holders:
                             held = self.l1s[holder].remove(victim_line)
-                            if held is not None:
-                                victim.dirty = victim.dirty or held.dirty
-                                if held.tx_writer is not None:
-                                    victim.tx_writer = held.tx_writer
-                                if held.tx_readers:
-                                    readers = victim.tx_readers
-                                    if readers is None:
-                                        victim.tx_readers = set(held.tx_readers)
-                                    else:
-                                        readers.update(held.tx_readers)
+                            if held is not None and held.dirty:
+                                victim.dirty = True
                     entry = self.directory.evict_line(victim_line)
-                    if victim.dirty and victim.tx_writer is None:
+                    if victim.dirty and (entry is None or entry.tx_owner is None):
                         # Non-speculative dirty data: the backing store
                         # already holds the values (non-transactional stores
                         # write through); count the write-back for bandwidth
                         # accounting only.
                         self.writebacks += 1
-                    if (
-                        victim.tx_writer is not None
-                        or victim.tx_readers
-                        or entry is not None
-                    ):
+                    if entry is not None:
                         if self.tracer is not None:
-                            readers = set(victim.tx_readers or ())
-                            if entry is not None:
-                                readers.update(entry.tx_sharers)
                             self.tracer.emit(
                                 "llc.evict",
                                 line_addr=victim_line,
-                                writer=victim.tx_writer,
-                                readers=len(readers),
+                                writer=entry.tx_owner,
+                                readers=len(entry.tx_sharers),
                             )
                         if self.on_llc_evict is not None:
                             self.on_llc_evict(victim, entry)
@@ -210,8 +203,6 @@ class CacheHierarchy:
                 self.invalidate_other_l1s(core_id, line_addr)
             l1_meta.mesi = MesiState.MODIFIED
             l1_meta.dirty = True
-            if tx_id is not None:
-                l1_meta.tx_writer = tx_id
         else:
             # GetS: downgrade any M/E holder; requester takes S if the line
             # is shared, E if it is the only copy.
@@ -232,37 +223,28 @@ class CacheHierarchy:
                 l1_meta.mesi = MesiState.SHARED
             elif l1_meta.mesi is not MesiState.MODIFIED:
                 l1_meta.mesi = MesiState.EXCLUSIVE
-            if tx_id is not None:
-                readers = l1_meta.tx_readers
-                if readers is None:
-                    l1_meta.tx_readers = {tx_id}
-                else:
-                    readers.add(tx_id)
         return result
 
     # -- evictions ----------------------------------------------------------------
 
     def handle_l1_eviction(self, core_id: int, victim: CacheLineMeta) -> None:
-        holders = self.l1_holders.get(victim.line_addr)
+        line_addr = victim.line_addr
+        holders = self.l1_holders.get(line_addr)
         if holders is not None:
             holders.discard(core_id)
             if not holders:
-                del self.l1_holders[victim.line_addr]
+                del self.l1_holders[line_addr]
+        if not victim.dirty:
+            return
         # Inclusive hierarchy: the line is still in the LLC; propagate the
-        # dirty bit and transactional writer marker down a level.
-        llc_meta = self.llc.peek(victim.line_addr)
+        # dirty bit down a level.
+        llc_meta = self.llc.peek(line_addr)
         if llc_meta is not None:
-            llc_meta.dirty = llc_meta.dirty or victim.dirty
-            if victim.tx_writer is not None:
-                llc_meta.tx_writer = victim.tx_writer
-            if victim.tx_readers:
-                readers = llc_meta.tx_readers
-                if readers is None:
-                    llc_meta.tx_readers = set(victim.tx_readers)
-                else:
-                    readers.update(victim.tx_readers)
-        if victim.tx_writer is not None and self.on_l1_evict is not None:
-            self.on_l1_evict(core_id, victim)
+            llc_meta.dirty = True
+        if self.on_l1_evict is not None:
+            entry = self.directory.entry(line_addr)
+            if entry is not None and entry.tx_owner is not None:
+                self.on_l1_evict(core_id, victim, entry)
 
     def invalidate_other_l1s(self, core_id: int, line_addr: int) -> None:
         holders = self.l1_holders.get(line_addr)
@@ -288,9 +270,9 @@ class CacheHierarchy:
         "UHTM flushes modified data of both DRAM and NVM in the private
         cache to the LLC on context switch.  Later, UHTM correctly locates
         these blocks in the LLC without asking the other CPUs."  Dirty
-        state, MESI ownership, and transactional markers fold into the LLC
-        copy; transactionally written lines go through the normal L1-evict
-        path so they land on the overflow list.  Returns lines flushed.
+        state folds into the LLC copy; transactionally written lines go
+        through the normal L1-evict path so they land on the overflow
+        list.  Returns lines flushed.
         """
         l1 = self.l1s[core_id]
         flushed = 0
@@ -323,15 +305,11 @@ class CacheHierarchy:
         return invalidated
 
     def clear_tx_markers(self, tx_id: int, lines: Set[int]) -> None:
-        """Commit path: make lines visible by clearing speculative markers."""
-        for line_addr in sorted(lines):
-            for core_id in self.l1_holders.get(line_addr, ()):
-                meta = self.l1s[core_id].peek(line_addr)
-                if meta is not None:
-                    meta.clear_tx(tx_id)
-            meta = self.llc.peek(line_addr)
-            if meta is not None:
-                meta.clear_tx(tx_id)
+        """A no-op, kept for the benchmark's entry-point table.
+
+        Cached copies carry no transactional markers: a line's Tx fields
+        live only in :attr:`directory`, which commit clears.
+        """
 
     # -- introspection -------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..params import CacheGeometry, LINE_SIZE
 from .coherence import MesiState
@@ -26,31 +26,6 @@ class CacheLineMeta:
     #: MESI state of this copy (meaningful for L1 copies; LLC copies of
     #: lines with L1 holders defer to the L1 states).
     mesi: MesiState = MesiState.SHARED
-    #: Transaction that speculatively wrote this line (None if none).
-    tx_writer: Optional[int] = None
-    #: Transactions that transactionally read this line while resident.
-    #: Lazily allocated: ``None`` means the empty set — most lines are never
-    #: transactionally read, and skipping the per-fill ``set()`` allocation
-    #: is measurable on the fill path.
-    tx_readers: Optional[Set[int]] = None
-
-    @property
-    def transactional(self) -> bool:
-        return self.tx_writer is not None or bool(self.tx_readers)
-
-    def add_reader(self, tx_id: int) -> None:
-        readers = self.tx_readers
-        if readers is None:
-            self.tx_readers = {tx_id}
-        else:
-            readers.add(tx_id)
-
-    def clear_tx(self, tx_id: int) -> None:
-        if self.tx_writer == tx_id:
-            self.tx_writer = None
-        readers = self.tx_readers
-        if readers is not None:
-            readers.discard(tx_id)
 
 
 class SetAssociativeArray:

@@ -68,7 +68,6 @@ class TxHandle:
     started_at_ns: float
     #: Speculative data: line address -> {word address -> value}.
     write_buffer: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    read_lines: Set[int] = field(default_factory=set)
     written_lines: Set[int] = field(default_factory=set)
     #: L1-evicted written lines, in eviction order (DHTM's overflow list).
     overflow_list: List[int] = field(default_factory=list)
@@ -98,7 +97,8 @@ class TxHandle:
 class HTMSystem:
     """Base class for all evaluated HTM designs."""
 
-    #: Subclasses: does this design use the coherence directory on-chip?
+    #: Subclasses: does this design check the coherence directory's Tx
+    #: fields on-chip?  Every design records and clears them.
     USES_DIRECTORY = True
 
     def __init__(
@@ -234,7 +234,8 @@ class HTMSystem:
         entry = tx.entry
         hierarchy = self.hierarchy
         access = hierarchy.access
-        directory = hierarchy.directory if self.USES_DIRECTORY else None
+        directory = hierarchy.directory
+        check_access = directory.check_access if self.USES_DIRECTORY else None
         offchip_always = self._offchip_always
         tracer = self.tracer
         records_access = self._records_access
@@ -242,7 +243,6 @@ class HTMSystem:
         tx_id = tx.tx_id
         core_id = tx.core_id
         domain_id = tx.domain_id
-        read_lines = tx.read_lines
         value = 0
         offset = 0
         while offset < nbytes:
@@ -250,8 +250,8 @@ class HTMSystem:
             line_addr = cur_addr & _LINE_MASK
             if entry.status is not _ACTIVE:
                 self._check_doomed(tx)
-            if directory is not None:
-                conflict = directory.check_access(line_addr, tx_id, False)
+            if check_access is not None:
+                conflict = check_access(line_addr, tx_id, False)
                 if conflict is not None:
                     self._onchip_resolution(tx, line_addr, conflict)
             if offchip_always:
@@ -263,17 +263,15 @@ class HTMSystem:
             if entry.status is not _ACTIVE:
                 # The access may have overflowed us to death.
                 self._check_doomed(tx)
-            if directory is not None:
-                directory.record_access(line_addr, tx_id, False)
-                if (
-                    line_addr in tx.dram_overflowed_lines
-                    or line_addr in tx.nvm_overflowed_lines
-                ):
-                    # Re-fetching one's own spilled line brings *speculative*
-                    # data back on-chip; ownership must be re-established or
-                    # a later reader would see it as innocent shared data.
-                    directory.record_access(line_addr, tx_id, True)
-            read_lines.add(line_addr)
+            directory.record_access(line_addr, tx_id, False)
+            if (
+                line_addr in tx.dram_overflowed_lines
+                or line_addr in tx.nvm_overflowed_lines
+            ):
+                # Re-fetching one's own spilled line brings *speculative*
+                # data back on-chip; ownership must be re-established or
+                # a later reader would see it as innocent shared data.
+                directory.record_access(line_addr, tx_id, True)
             tx.reads += 1
             if tracer is not None:
                 tracer.emit(
@@ -309,7 +307,8 @@ class HTMSystem:
         entry = tx.entry
         hierarchy = self.hierarchy
         access = hierarchy.access
-        directory = hierarchy.directory if self.USES_DIRECTORY else None
+        directory = hierarchy.directory
+        check_access = directory.check_access if self.USES_DIRECTORY else None
         offchip_always = self._offchip_always
         tracer = self.tracer
         records_access = self._records_access
@@ -330,8 +329,8 @@ class HTMSystem:
                 line_addr = cur_addr & _LINE_MASK
                 if entry.status is not _ACTIVE:
                     self._check_doomed(tx)
-                if directory is not None:
-                    conflict = directory.check_access(line_addr, tx_id, True)
+                if check_access is not None:
+                    conflict = check_access(line_addr, tx_id, True)
                     if conflict is not None:
                         self._onchip_resolution(tx, line_addr, conflict)
                 if offchip_always:
@@ -342,8 +341,7 @@ class HTMSystem:
                 thread.clock_ns += latency
                 if entry.status is not _ACTIVE:
                     self._check_doomed(tx)
-                if directory is not None:
-                    directory.record_access(line_addr, tx_id, True)
+                directory.record_access(line_addr, tx_id, True)
                 written_lines.add(line_addr)
                 tx.writes += 1
                 if tracer is not None:
@@ -640,10 +638,10 @@ class HTMSystem:
 
     # ------------------------------------------------------------- evictions
 
-    def _handle_l1_evict(self, core_id: int, meta: CacheLineMeta) -> None:
-        writer = meta.tx_writer
-        if writer is None:
-            return
+    def _handle_l1_evict(
+        self, core_id: int, meta: CacheLineMeta, entry: DirectoryEntry
+    ) -> None:
+        writer = entry.tx_owner
         tx = self._active.get(writer)
         if tx is None or not self.tss.is_active(writer):
             return
@@ -651,23 +649,17 @@ class HTMSystem:
         self.stats.incr("l1.tx_evictions")
 
     def _handle_llc_evict(
-        self, meta: CacheLineMeta, entry: Optional[DirectoryEntry]
+        self, meta: CacheLineMeta, entry: DirectoryEntry
     ) -> None:
-        writers: Set[int] = set()
-        readers: Set[int] = set()
-        if meta.tx_writer is not None:
-            writers.add(meta.tx_writer)
-        if meta.tx_readers:
-            readers.update(meta.tx_readers)
-        if entry is not None:
-            if entry.tx_owner is not None:
-                writers.add(entry.tx_owner)
-            readers.update(entry.tx_sharers)
-        involved = writers | readers
+        owner = entry.tx_owner
+        sharers = entry.tx_sharers
+        involved = sharers if owner is None else sharers | {owner}
         for tx_id in sorted(involved):
             tx = self._active.get(tx_id)
             if tx is None or not self.tss.is_active(tx_id):
                 continue
+            wrote = tx_id == owner
+            read = tx_id in sharers
             self.stats.incr("llc.tx_evictions")
             if self.tracer is not None:
                 self.tracer.emit(
@@ -676,15 +668,10 @@ class HTMSystem:
                     tx_id=tx_id,
                     thread_id=tx.thread.thread_id,
                     line_addr=meta.line_addr,
-                    wrote=tx_id in writers,
-                    read=tx_id in readers,
+                    wrote=wrote,
+                    read=read,
                 )
-            self._on_llc_overflow(
-                tx,
-                meta.line_addr,
-                wrote=tx_id in writers,
-                read=tx_id in readers,
-            )
+            self._on_llc_overflow(tx, meta.line_addr, wrote=wrote, read=read)
 
     # ---------------------------------------------------------------- commit
 
@@ -694,9 +681,7 @@ class HTMSystem:
             raise TransactionStateError(f"commit of non-active tx {tx.tx_id}")
         latency = self._commit_latency_and_publish(tx)
         tx.thread.advance(latency)
-        self.hierarchy.clear_tx_markers(tx.tx_id, tx.cached_written_lines)
-        if self.USES_DIRECTORY:
-            self.hierarchy.directory.clear_transaction(tx.tx_id)
+        self.hierarchy.directory.clear_transaction(tx.tx_id)
         self.domains.unregister(tx.tx_id)
         self.tss.mark_committed(tx.tx_id)
         self._active.pop(tx.tx_id, None)
@@ -839,8 +824,7 @@ class HTMSystem:
             )
         cost = 0.0
         self.hierarchy.invalidate_written_lines(tx.tx_id, tx.cached_written_lines)
-        if self.USES_DIRECTORY:
-            self.hierarchy.directory.clear_transaction(tx.tx_id)
+        self.hierarchy.directory.clear_transaction(tx.tx_id)
         if tx.dram_overflowed_lines:
             if self.config.dram_log_policy == DramLogPolicy.UNDO:
                 cost += self.controller.rollback_undo(tx.tx_id)
@@ -883,8 +867,8 @@ class HTMSystem:
         """Move a written line's speculative data off-chip (UHTM/Ideal)."""
         words = tx.write_buffer.get(line_addr)
         if words is None:
-            # Written line with no buffered words should not happen, but a
-            # line can appear written via stale meta after partial clears.
+            # Defensive: a Tx-Owner is recorded only by a write, which
+            # buffers words, or by re-reading a line spilled with them.
             return
         if self.controller.address_space.is_nvm(line_addr):
             if line_addr not in tx.nvm_overflowed_lines:

@@ -52,7 +52,9 @@ class SignatureOnlyHTM(HTMSystem):
 
     Every transactional access inserts its line into the transaction's own
     read/write signature and is checked against *every* other active
-    signature, regardless of cache residency.  No directory fields are used.
+    signature, regardless of cache residency.  The directory's Tx fields
+    are recorded and cleared as for every design (LLC evictions read them
+    to find the lines to spill) but never checked for conflicts.
     With durable transactions' few-hundred-KB footprints the filters
     saturate, which is precisely the >99 % abort-rate pathology the paper
     measures for this design.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.coherence import MesiState
 from repro.cache.hierarchy import CacheHierarchy
 from repro.mem.controller import MemoryController
 from repro.params import (
@@ -89,44 +90,73 @@ class TestCoherence:
         assert hierarchy.l1_resident(0, addr)
         assert not hierarchy.l1_resident(1, addr)
 
-    def test_write_sets_dirty_and_tx_writer(self):
+    def test_tx_write_sets_dirty_and_modified_only(self):
         hierarchy, controller, _ = make_hierarchy()
         addr = dram_line(controller, 0)
         hierarchy.access(0, addr, True, tx_id=7)
         meta = hierarchy.l1s[0].peek(addr)
         assert meta.dirty
-        assert meta.tx_writer == 7
+        assert meta.mesi is MesiState.MODIFIED
+        # Tx-Owner is the HTM design's to record, in the directory.
+        assert hierarchy.directory.entry(addr) is None
 
-    def test_tx_read_records_reader(self):
+    def test_tx_read_leaves_tx_state_to_the_directory(self):
         hierarchy, controller, _ = make_hierarchy()
         addr = dram_line(controller, 0)
         hierarchy.access(0, addr, False, tx_id=7)
         meta = hierarchy.l1s[0].peek(addr)
-        assert 7 in meta.tx_readers
+        assert not meta.dirty
+        assert meta.mesi is MesiState.EXCLUSIVE
+        assert hierarchy.directory.entry(addr) is None
 
 
 class TestEvictions:
-    def test_l1_eviction_propagates_state_to_llc(self):
+    def test_l1_eviction_propagates_dirty_bit_to_llc(self):
         hierarchy, controller, _ = make_hierarchy(l1_lines=2)
         # 1 set x 2 ways L1: the third distinct line evicts the first.
         lines = [dram_line(controller, i) for i in range(3)]
         hierarchy.access(0, lines[0], True, tx_id=5)
+        hierarchy.directory.record_access(lines[0], 5, True)
         hierarchy.access(0, lines[1], False)
         hierarchy.access(0, lines[2], False)
         assert not hierarchy.l1_resident(0, lines[0])
-        llc_meta = hierarchy.llc.peek(lines[0])
-        assert llc_meta.dirty
-        assert llc_meta.tx_writer == 5
+        assert hierarchy.llc.peek(lines[0]).dirty
+        # The Tx-Owner stays where it was recorded.
+        assert hierarchy.directory.entry(lines[0]).tx_owner == 5
 
     def test_l1_evict_callback_for_tx_written_lines(self):
         hierarchy, controller, _ = make_hierarchy(l1_lines=2)
         events = []
-        hierarchy.on_l1_evict = lambda core, meta: events.append(meta.line_addr)
+        hierarchy.on_l1_evict = lambda core, meta, entry: events.append(
+            (meta.line_addr, entry.tx_owner)
+        )
         lines = [dram_line(controller, i) for i in range(3)]
         hierarchy.access(0, lines[0], True, tx_id=5)
+        hierarchy.directory.record_access(lines[0], 5, True)
         hierarchy.access(0, lines[1], False)
         hierarchy.access(0, lines[2], False)
-        assert events == [lines[0]]
+        assert events == [(lines[0], 5)]
+
+    @pytest.mark.parametrize("case", ("nontx_write", "tx_read", "clean_owner"))
+    def test_l1_evict_callback_needs_dirty_line_with_owner(self, case):
+        hierarchy, controller, _ = make_hierarchy(l1_lines=2)
+        events = []
+        hierarchy.on_l1_evict = lambda core, meta, entry: events.append(meta)
+        lines = [dram_line(controller, i) for i in range(3)]
+        if case == "nontx_write":
+            hierarchy.access(0, lines[0], True)
+        elif case == "tx_read":
+            hierarchy.access(0, lines[0], True)
+            hierarchy.directory.record_access(lines[0], 5, False)
+        else:
+            # Owned, but the evicted copy is a clean one on another core.
+            hierarchy.access(1, lines[0], False)
+            hierarchy.directory.record_access(lines[0], 5, True)
+            hierarchy.access(0, lines[0], False)
+        hierarchy.access(0, lines[1], False)
+        hierarchy.access(0, lines[2], False)
+        assert not hierarchy.l1_resident(0, lines[0])
+        assert events == []
 
     def test_llc_eviction_back_invalidates_l1(self):
         hierarchy, controller, _ = make_hierarchy(l1_lines=64, llc_lines=4)
@@ -156,7 +186,7 @@ class TestEvictions:
         events = []
         hierarchy.on_llc_evict = lambda meta, entry: events.append(meta)
         for i in range(5):
-            hierarchy.access(0, dram_line(controller, i), False)
+            hierarchy.access(0, dram_line(controller, i), False, tx_id=3)
         assert events == []
 
     def test_dirty_nontx_eviction_counts_writeback(self):
@@ -165,6 +195,24 @@ class TestEvictions:
         for i in range(1, 5):
             hierarchy.access(0, dram_line(controller, i), False)
         assert hierarchy.writebacks == 1
+
+    @pytest.mark.parametrize(
+        "owner, sharer, counted", ((9, None, False), (None, 9, True))
+    )
+    def test_writeback_counts_dirty_victims_without_owner(
+        self, owner, sharer, counted
+    ):
+        hierarchy, controller, _ = make_hierarchy(l1_lines=64, llc_lines=4)
+        addr = dram_line(controller, 0)
+        hierarchy.access(0, addr, True)
+        if owner is not None:
+            hierarchy.directory.record_access(addr, owner, True)
+        if sharer is not None:
+            hierarchy.directory.record_access(addr, sharer, False)
+        for i in range(1, 5):
+            hierarchy.access(0, dram_line(controller, i), False)
+        assert not hierarchy.llc_resident(addr)
+        assert hierarchy.writebacks == int(counted)
 
 
 class TestTransactionOps:
@@ -178,14 +226,15 @@ class TestTransactionOps:
         assert not hierarchy.l1_resident(0, addr)
         assert not hierarchy.llc_resident(addr)
 
-    def test_clear_tx_markers_keeps_lines_resident(self):
+    def test_clear_tx_markers_is_a_noop(self):
         hierarchy, controller, _ = make_hierarchy()
         addr = dram_line(controller, 0)
         hierarchy.access(0, addr, True, tx_id=3)
+        hierarchy.directory.record_access(addr, 3, True)
         hierarchy.clear_tx_markers(3, {addr})
         assert hierarchy.l1_resident(0, addr)
-        meta = hierarchy.l1s[0].peek(addr)
-        assert meta.tx_writer is None
+        assert hierarchy.l1s[0].peek(addr).dirty
+        assert hierarchy.directory.entry(addr).tx_owner == 3
 
     def test_wipe(self):
         hierarchy, controller, _ = make_hierarchy()

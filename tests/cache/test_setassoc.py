@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.coherence import MesiState
 from repro.cache.setassoc import CacheLineMeta, SetAssociativeArray
 from repro.params import CacheGeometry, LINE_SIZE
 
@@ -78,29 +79,12 @@ class TestReplacement:
 
 
 class TestMeta:
-    def test_meta_transactional_flag(self):
+    def test_meta_holds_no_transactional_state(self):
+        # Tx-Owner / Tx-Sharers live in the directory only.
+        assert CacheLineMeta.__slots__ == ("line_addr", "dirty", "mesi")
         meta = CacheLineMeta(0)
-        assert not meta.transactional
-        assert meta.tx_readers is None  # lazily allocated
-        meta.add_reader(4)
-        assert meta.transactional
-        meta.tx_readers.clear()
-        meta.tx_writer = 9
-        assert meta.transactional
-
-    def test_clear_tx(self):
-        meta = CacheLineMeta(0, tx_writer=3)
-        meta.add_reader(3)
-        meta.add_reader(4)
-        meta.clear_tx(3)
-        assert meta.tx_writer is None
-        assert meta.tx_readers == {4}
-
-    def test_clear_tx_without_readers(self):
-        meta = CacheLineMeta(0, tx_writer=3)
-        meta.clear_tx(3)
-        assert meta.tx_writer is None
-        assert not meta.transactional
+        assert not meta.dirty
+        assert meta.mesi is MesiState.SHARED
 
     def test_resident_introspection(self):
         array = make_array()

@@ -255,7 +255,8 @@ def test_empty_blocks_touch_nothing_and_return_zero():
     busy.direct.rmw_add_block([], DELTA)
     tx = ctx.handle
     assert (tx.reads, tx.writes) == (0, 0)
-    assert not tx.read_lines and not tx.written_lines and not tx.write_buffer
+    assert not busy.system.hierarchy.directory.lines_of(tx.tx_id)
+    assert not tx.written_lines and not tx.write_buffer
     assert busy.fingerprint() == idle.fingerprint()
 
 
@@ -266,8 +267,13 @@ def test_65_bytes_walk_two_lines():
     ctx.write_block(base, 65, 5)
     ctx.read_block(base + 4 * LINE_SIZE, 65)
     tx = ctx.handle
+    directory = harness.system.hierarchy.directory
     assert tx.written_lines == {base, base + LINE_SIZE}
-    assert tx.read_lines == {base + 4 * LINE_SIZE, base + 5 * LINE_SIZE}
+    assert {
+        line
+        for line in directory.lines_of(tx.tx_id)
+        if tx.tx_id in directory.entry(line).tx_sharers
+    } == {base + 4 * LINE_SIZE, base + 5 * LINE_SIZE}
     assert (tx.reads, tx.writes) == (2, 2)
 
 

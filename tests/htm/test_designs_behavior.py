@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import HTMConfig, MachineConfig, SignatureConfig, System, TransactionAborted
+from repro.cache.directory import Directory
 from repro.errors import AbortReason
 from repro.htm.designs import IdealHTM, LLCBoundedHTM, SignatureOnlyHTM, UHTM, build_htm
 from repro.htm.tss import TxStatus
@@ -36,13 +37,35 @@ class TestFactory:
 
 
 class TestSignatureOnly:
-    def test_no_directory_usage(self):
-        system = make_system("signature_only")
-        thread = make_thread()
+    def test_directory_recorded_but_never_checked(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(
+            Directory, "check_access", lambda self, *args: checks.append(args)
+        )
+        system = make_system("signature_only", signature=SignatureConfig(bits=4096))
+        directory = system.hierarchy.directory
         addr = system.heap.alloc_words(1, MemoryKind.DRAM)
-        tx = system.htm.begin(thread, 0, 1, 1)
-        system.htm.tx_write(tx, addr, 1)
-        assert len(system.hierarchy.directory) == 0
+        line = addr & ~(LINE_SIZE - 1)
+        t1, t2 = make_thread(0), make_thread(1)
+        tx1 = system.htm.begin(t1, 0, 1, 1)
+        system.htm.tx_write(tx1, addr, 1)
+        assert directory.entry(line).tx_owner == tx1.tx_id
+        # A transactional requester loses on the signature, not the directory.
+        tx2 = system.htm.begin(t2, 1, 1, 1)
+        with pytest.raises(TransactionAborted) as aborted:
+            system.htm.tx_read(tx2, addr)
+        assert aborted.value.reason is not AbortReason.CONFLICT_COHERENCE
+        system.htm.commit(tx1)
+        assert len(directory) == 0
+        # A non-transactional writer aborts a reader, again by signature.
+        tx3 = system.htm.begin(t1, 0, 1, 1)
+        system.htm.tx_read(tx3, addr)
+        assert tx3.tx_id in directory.entry(line).tx_sharers
+        system.htm.nontx_access(t2, 1, 1, addr, True, 5)
+        assert system.htm.tss.entry(tx3.tx_id).status is TxStatus.ABORTED
+        assert len(directory) == 0
+        assert checks == []
+        assert system.stats.counter("tx.aborts.conflict_coherence") == 0
 
     def test_signature_populated_at_access_time(self):
         system = make_system("signature_only")

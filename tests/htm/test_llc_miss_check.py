@@ -56,7 +56,7 @@ def cache_state(system, core_id, line):
 
     def bucket(array):
         return [
-            (meta.line_addr, meta.mesi, meta.dirty, meta.tx_writer)
+            (meta.line_addr, meta.mesi, meta.dirty)
             for meta in array._set_of(line).values()
         ]
 
