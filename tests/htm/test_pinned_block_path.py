@@ -55,7 +55,7 @@ def test_fig2_smoke_export_pinned(seed):
 
 #: SHA-256 of every fig7 smoke run's ``RunResult``, keyed and sorted as JSON.
 FIG7_SMOKE_RUNS_SHA256 = {
-    2020: "b3a003a93a01b6ceff18c7b9f926bbc7bb7fccbb5625c059ff6d72ff01421adf",
+    2020: "aaefac809cacc0dc34f77120d4b71f2b3716980d1afd74f78953d8810aebb2aa",
     7: "cd7cba55bbe8fe5553a50f7313675b373e2f8077cba8c4eb49ff62dde0be1865",
 }
 

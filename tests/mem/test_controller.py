@@ -146,6 +146,20 @@ class TestNvmCommit:
         assert controller.dram_cache.lookup(addr) is None
         assert controller.load_word(addr) == 0
 
+    def test_abort_keeps_an_undrained_commit_of_the_spilled_line(self, controller):
+        """Tx 2 spills a line whose commit by tx 1 has not drained, then
+        aborts: tx 1's words must stay visible and reach NVM in place."""
+        addr = nvm_addr(controller)
+        controller.commit_nvm_transaction(1, {addr: {addr: 11}})
+        controller.buffer_early_evicted_nvm(2, addr, {addr + 8: 22})
+        assert controller.load_word(addr + 8) == 22
+        controller.abort_nvm(2, [addr])
+        assert controller.load_word(addr) == 11
+        assert controller.load_word(addr + 8) == 0
+        assert controller.dram_cache.drain_all() == 1
+        assert controller.nvm.load(addr) == 11
+        assert controller.nvm.load(addr + 8) == 0
+
 
 class TestStoreWord:
     def test_nvm_store_updates_resident_dram_cache_line(self, controller):

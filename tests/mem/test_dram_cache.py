@@ -103,6 +103,38 @@ class TestInvalidation:
         cache.drain_all()
         assert nvm.load(0x00) == 0
 
+    def test_invalidate_restores_the_committed_image(self, nvm):
+        """Speculative words merged over a committed line: the abort puts
+        the committed image back instead of dropping the line."""
+        cache = make_cache(nvm)
+        cache.fill(0x40, {0x40: 1}, 1, committed=True)
+        cache.fill(0x40, {0x40: 2, 0x48: 3}, 2, committed=False)
+        assert not cache.lookup(0x40).committed
+        assert cache.invalidate(0x40, 2)
+        entry = cache.lookup(0x40)
+        assert entry.words == {0x40: 1}
+        assert entry.committed and not entry.invalid
+        assert cache.drain_all() == 1
+        assert (nvm.load(0x40), nvm.load(0x48)) == (1, 0)
+
+    def test_commit_over_a_committed_image_keeps_the_merge(self, nvm):
+        cache = make_cache(nvm)
+        cache.fill(0x40, {0x40: 1, 0x48: 1}, 1, committed=True)
+        cache.fill(0x40, {0x40: 2}, 2, committed=False)
+        cache.fill(0x40, {0x50: 2}, 2, committed=True)
+        assert not cache.invalidate(0x40, 2)
+        assert cache.lookup(0x40).words == {0x40: 2, 0x48: 1, 0x50: 2}
+
+    def test_restored_line_drains_under_capacity_pressure(self, nvm):
+        cache = make_cache(nvm, lines=2)
+        cache.fill(0x00, {0x00: 1}, 1, committed=True)
+        cache.fill(0x00, {0x00: 9}, 2, committed=False)
+        cache.invalidate(0x00, 2)
+        cache.fill(0x40, {0x40: 2}, 3, committed=True)
+        cache.fill(0x80, {0x80: 3}, 3, committed=True)  # evicts 0x00
+        assert nvm.load(0x00) == 1
+        assert cache.lookup(0x00) is None
+
     def test_mark_committed(self, nvm):
         cache = make_cache(nvm)
         cache.fill(0x40, {0x40: 9}, tx_id=5, committed=False)

@@ -308,13 +308,17 @@ class _RecordingNvm:
 
 
 class ReferenceDramCache:
-    """The DRAM cache with the original front-to-back victim scan."""
+    """The DRAM cache with the original front-to-back victim scan.
+
+    An uncommitted fill over a committed line keeps the committed image,
+    and invalidating the line restores it (the abort must not lose an
+    undrained commit)."""
 
     def __init__(self, capacity_lines: int, nvm: _RecordingNvm) -> None:
         self._capacity = capacity_lines
         self._nvm = nvm
         self._entries: "OrderedDict[int, list]" = OrderedDict()
-        # entry layout: [words, tx_id, committed, invalid]
+        # entry layout: [words, tx_id, committed, invalid, committed image]
         self.drains = 0
         self.overcommits = 0
 
@@ -328,12 +332,16 @@ class ReferenceDramCache:
     def fill(self, line_addr, words, tx_id, committed):
         entry = self._entries.get(line_addr)
         if entry is not None and not entry[3]:
+            if not committed and entry[2]:
+                entry[4] = dict(entry[0])
+            elif committed:
+                entry[4] = None
             entry[0].update(words)
             entry[1] = tx_id
             entry[2] = committed
             self._entries.move_to_end(line_addr)
             return
-        self._entries[line_addr] = [dict(words), tx_id, committed, False]
+        self._entries[line_addr] = [dict(words), tx_id, committed, False, None]
         self._entries.move_to_end(line_addr)
         while len(self._entries) > self._capacity:
             victim = self._pick_victim()
@@ -347,13 +355,17 @@ class ReferenceDramCache:
         if entry is None or entry[3] or entry[1] != tx_id:
             return False
         entry[2] = True
+        entry[4] = None
         return True
 
     def invalidate(self, line_addr, tx_id):
         entry = self._entries.get(line_addr)
         if entry is None or entry[1] != tx_id or entry[2]:
             return False
-        entry[3] = True
+        if entry[4] is not None:
+            entry[:] = [entry[4], None, True, False, None]
+        else:
+            entry[3] = True
         return True
 
     def _pick_victim(self):

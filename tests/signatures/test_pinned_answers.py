@@ -28,7 +28,7 @@ from repro.workloads import WORKLOADS, WorkloadParams
 
 #: SHA-256 of ``python -m repro fig7 --scale 0.015625 --seed S --json``.
 FIG7_SMOKE_SHA256 = {
-    2020: "a4d3bbc20f1d1dc35f988d589df6e09469cb926a4f4d1d31762d27c1b49ee4f3",
+    2020: "e3783d1e4e36bc93b748ea6731acb5722320f638f79609c97dd1872503905e73",
     7: "6c71b1bc06a64542c13fb0f8b405f69699cbd329f10891d17016c68aa4efdef3",
 }
 
