@@ -2,8 +2,8 @@
 
 The fault-injection campaigns of PR 1 thread optional hooks through the
 machine: ``fault_injector`` on the controller and engine, ``on_nvm_commit``
-and ``on_nontx_nvm_store`` for the crash oracle, ``pre_compact`` on the
-hardware log, and the hierarchy's eviction and LLC-miss callbacks.  All of
+and ``on_nontx_nvm_store`` for the crash oracle, and the hierarchy's
+eviction and LLC-miss callbacks.  All of
 them are ``None`` outside a campaign or a design that installs them, so
 every invocation site must be None-guarded —
 an unguarded call crashes every plain simulation run, and the failure only
@@ -36,7 +36,6 @@ HOOK_ATTRS = frozenset(
         "fault_injector",
         "on_nvm_commit",
         "on_nontx_nvm_store",
-        "pre_compact",
         "on_l1_evict",
         "on_llc_evict",
         "on_llc_miss",
@@ -191,7 +190,7 @@ class HookGuardChecker(Checker):
         if not isinstance(node, ast.Call):
             return None
         head = node.func
-        # hook() — the hook itself is callable (pre_compact, on_* callbacks).
+        # hook() — the hook itself is callable (the on_* callbacks).
         if _is_hook_attribute(head):
             return ast.unparse(head), node
         if isinstance(head, ast.Name) and head.id in aliases:

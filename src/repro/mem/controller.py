@@ -74,15 +74,6 @@ class MemoryController:
         #: such writes carry no durability guarantee, so the oracle excludes
         #: them from verification.
         self.on_nontx_nvm_store: Optional[Callable[[int], None]] = None
-        # A committed transaction's new values live only in the (volatile)
-        # DRAM cache plus its redo records until the lines drain to NVM in
-        # place.  Compaction reclaims committed transactions' records, so it
-        # must drain the cache first or a crash after compaction would lose
-        # the commit.
-        self.nvm_log.pre_compact = self._drain_before_nvm_reclaim
-
-    def _drain_before_nvm_reclaim(self) -> None:
-        self.background_nvm_writes += self.dram_cache.drain_all()
 
     # -- data-path helpers ---------------------------------------------------
 
@@ -331,10 +322,24 @@ class MemoryController:
             self.on_nvm_commit(tx_id, lines)
         if injector is not None:
             injector.after_commit_mark(tx_id)
+        drained: List[int] = []
         for line_addr, words in lines.items():
-            drained = self.dram_cache.fill(line_addr, words, tx_id, committed=True)
-            self.background_nvm_writes += drained
+            drained += self.dram_cache.fill(line_addr, words, tx_id, committed=True)
             elapsed += self.latency.dram_cache_ns
+        if drained:
+            # Background drains tell the NVM log which lines now hold every
+            # committed value in place, so that their redo records can go
+            # (see HardwareLog.reclaim_durable).  A line of this commit that
+            # is resident again drained before the commit filled it: leave
+            # that drain out.
+            self.background_nvm_writes += len(drained)
+            contains = self._dc_contains
+            self.nvm_log.note_drained(
+                [line for line in drained if line not in lines or not contains(line)]
+            )
+        # Deferred log deletion (Section IV-C), in the background: no
+        # thread is charged for it.
+        self.nvm_log.reclaim_when_grown()
         if self.tracer is not None:
             self.tracer.emit(
                 "mem.commit.nvm",
@@ -350,7 +355,9 @@ class MemoryController:
     ) -> float:
         """Place an LLC-evicted, uncommitted persistent line in the DRAM cache."""
         drained = self.dram_cache.fill(line_addr, words, tx_id, committed=False)
-        self.background_nvm_writes += drained
+        if drained:
+            self.background_nvm_writes += len(drained)
+            self.nvm_log.note_drained(drained)
         return 0.0  # eviction path, off the critical path
 
     def abort_nvm(self, tx_id: int, overflow_lines: List[int]) -> float:

@@ -9,11 +9,16 @@ sequence of records plus a byte cursor for space accounting.
 Records carry real line contents so that abort rollback and post-crash
 recovery genuinely restore data, making consistency a testable property.
 
-A log holds tens of thousands of records on overflow workloads, so it is
-stored column by column in typed arrays, not as one object per record:
+A log can hold tens of thousands of records on overflow workloads, so it
+is stored column by column in typed arrays, not as one object per record:
 about 60 B per one-word data record instead of about 350 B.
 :class:`LogRecord` tuples are built only on demand.  Reclamation drops a
 whole set of transactions in one pass over the columns.
+
+The NVM log is also reclaimed in the background (Section IV-C), by
+:meth:`HardwareLog.reclaim_durable`: a committed redo record goes once
+every word it carries has a newer durable copy, and a mark goes once its
+transaction has no data records left.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import enum
 from array import array
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 from ..errors import LogOverflowError
 from ..params import LINE_SIZE
@@ -49,6 +54,11 @@ class RecordKind(enum.Enum):
 _KINDS = (RecordKind.UNDO, RecordKind.REDO, RecordKind.COMMIT, RecordKind.ABORT)
 _FIRST_MARK = _COMMIT = _KINDS.index(RecordKind.COMMIT)
 _ABORT = _KINDS.index(RecordKind.ABORT)
+_REDO = _KINDS.index(RecordKind.REDO)
+
+#: Rows a log holds before its first background reclamation pass; each
+#: later pass waits until the log has doubled since the previous one.
+RECLAIM_FLOOR = 1024
 
 
 class LogRecord(NamedTuple):
@@ -96,11 +106,14 @@ class HardwareLog:
     plays this role in hardware); its keys are ordered by each
     transaction's first live row.
 
-    When live data alone would overflow the reserved area, the controller
+    When an append would overflow the reserved area, the controller
     "traps the operating system to expand the log area" (Section IV-E);
     that is modelled by doubling the capacity and counting the trap.  Set
     ``allow_expansion=False`` to get a hard :class:`LogOverflowError`
-    instead (useful for sizing studies).
+    instead (useful for sizing studies).  Records leave only through
+    reclamation: at commit or abort, in the background
+    (:meth:`reclaim_durable`) or at recovery, never under capacity
+    pressure.
     """
 
     def __init__(
@@ -116,12 +129,6 @@ class HardwareLog:
         #: Observers notified after every append (fault injectors and crash
         #: oracles watch the NVM log through this).
         self._observers: List[Callable[[LogRecord], None]] = []
-        #: Invoked before capacity-pressure compaction reclaims completed
-        #: transactions.  The controller wires the NVM log's hook to drain
-        #: the DRAM cache first: a committed transaction's only durable copy
-        #: may be its redo records until its lines drain to NVM in place, so
-        #: reclaiming those records before the drain would break recovery.
-        self.pre_compact: Optional[Callable[[], None]] = None
         #: Optional event tracer (see :mod:`repro.obs`): every append is
         #: emitted as a ``log.append`` event when attached.
         self.tracer = None
@@ -186,20 +193,14 @@ class HardwareLog:
         record = LogRecord(_KINDS[code], tx_id, line_addr, words, self._sequence)
         is_data = code < _FIRST_MARK
         size = _DATA_RECORD_BYTES if is_data else HEADER_BYTES
-        if self._cursor_bytes + size > self._capacity_bytes:
-            # Reclaim completed transactions' records first; if live data
-            # alone still exceeds the area, trap the OS for more space.
-            if self.pre_compact is not None:
-                self.pre_compact()
-            self._compact()
-            while self._cursor_bytes + size > self._capacity_bytes:
-                if not self._allow_expansion:
-                    raise LogOverflowError(
-                        f"{self._name} log exhausted "
-                        f"({self._cursor_bytes}/{self._capacity_bytes} bytes)"
-                    )
-                self._capacity_bytes *= 2
-                self.expansions += 1
+        while self._cursor_bytes + size > self._capacity_bytes:
+            if not self._allow_expansion:
+                raise LogOverflowError(
+                    f"{self._name} log exhausted "
+                    f"({self._cursor_bytes}/{self._capacity_bytes} bytes)"
+                )
+            self._capacity_bytes *= 2
+            self.expansions += 1
         addrs = self._addrs
         values = self._values
         end = len(addrs)
@@ -297,14 +298,97 @@ class HardwareLog:
         if doomed:
             doomed.sort()
             self._rebuild(doomed)
+            self._reindex(doomed[0])
             self._cursor_bytes -= freed
+        return freed
+
+    def note_drained(self, lines: Iterable[int]) -> None:
+        """Record that ``lines`` were just written to NVM in place, each
+        carrying the values of every commit whose mark is already logged.
+
+        Each line is stamped with the current sequence number.  The caller
+        leaves out a drain that predates values already committed, such as
+        a line drained during a commit before that commit filled it.
+        """
+        stamp = self._sequence
+        drained_at = self._drained_at
+        for line_addr in lines:
+            drained_at[line_addr] = stamp
+
+    def reclaim_when_grown(self) -> int:
+        """Run :meth:`reclaim_durable` once the log has reached
+        :data:`RECLAIM_FLOOR` rows and doubled since the last pass; returns
+        bytes freed."""
+        if len(self._kinds) < self._next_reclaim:
+            return 0
+        return self.reclaim_durable()
+
+    def reclaim_durable(self) -> int:
+        """Drop every record recovery no longer needs, in one pass; returns
+        bytes freed.
+
+        Only redo records that recovery would replay may go: their
+        transaction has a commit mark and no abort mark.  One goes once
+        each of its words has a newer durable copy, either a drain of its
+        line noted since the record and its commit mark were appended
+        (:meth:`note_drained`), or a later replayed record that carries the
+        same word.  Coverage is per word: recovery replays in log order, so
+        a later record for the line that lacks some of the words leaves
+        them to the older one.  A commit or abort mark goes once its
+        transaction has no data records left.
+
+        Drain stamps are consumed: a record a stamp covers goes now, and a
+        record appended or committed later is newer than the stamp.
+        """
+        kinds = self._kinds
+        tx_ids = self._tx_ids
+        sequences = self._sequences
+        mark_rows = [row for row, code in enumerate(kinds) if code >= _FIRST_MARK]
+        replayed = {
+            tx_ids[row]: sequences[row] for row in mark_rows if kinds[row] == _COMMIT
+        }
+        for row in mark_rows:
+            if kinds[row] == _ABORT:
+                replayed.pop(tx_ids[row], None)
+        drained_at = self._drained_at
+        lines = self._lines
+        offsets = self._offsets
+        addrs = self._addrs
+        covered: Set[int] = set()
+        doomed: List[int] = []
+        for row in range(len(kinds) - 1, -1, -1):  # newest first
+            committed_at = replayed.get(tx_ids[row])
+            if committed_at is None or kinds[row] != _REDO:
+                continue
+            words = addrs[offsets[row] : offsets[row + 1]]
+            stamp = drained_at.get(lines[row], 0)
+            if (
+                stamp >= committed_at and stamp >= sequences[row]
+            ) or covered.issuperset(words):
+                doomed.append(row)
+            covered.update(words)
+        self._drained_at = {}
+        freed = len(doomed) * _DATA_RECORD_BYTES
+        gone = set(doomed)
+        by_tx = self._by_tx
+        for row in mark_rows:
+            if gone.issuperset(by_tx.get(tx_ids[row], ())):
+                doomed.append(row)
+                freed += HEADER_BYTES
+        if doomed:
+            doomed.sort()
+            self._rebuild(doomed)
+            self._by_tx = {}
+            self._reindex(0)
+            self._cursor_bytes -= freed
+        self._next_reclaim = max(RECLAIM_FLOOR, 2 * len(self._kinds))
         return freed
 
     def _rebuild(self, doomed: List[int]) -> None:
         """Delete the rows in ``doomed`` (sorted) from every column.
 
         Rows before the first doomed one keep their numbers, so only the
-        columns' tails are copied and only later rows are re-indexed.
+        columns' tails are copied.
         """
         cut = doomed[0]
         runs: List[Tuple[int, int]] = []
@@ -324,24 +408,28 @@ class HardwareLog:
             shift = kept[-1] - offsets[start]
             kept.extend(map(shift.__add__, offsets[start + 1 : stop + 1]))
         self._offsets = kept
-        self._kinds = kinds = _splice(self._kinds, cut, runs)
-        self._tx_ids = tx_ids = _splice(self._tx_ids, cut, runs)
+        self._kinds = _splice(self._kinds, cut, runs)
+        self._tx_ids = _splice(self._tx_ids, cut, runs)
         self._lines = _splice(self._lines, cut, runs)
         self._sequences = _splice(self._sequences, cut, runs)
+
+    def _reindex(self, cut: int) -> None:
+        """Renumber the ``_by_tx`` rows from ``cut`` on, after
+        :meth:`_rebuild` deleted rows from ``cut`` on.  A transaction
+        without an entry gets one when its first live row is reached."""
+        kinds = self._kinds
+        tx_ids = self._tx_ids
         by_tx = self._by_tx
         for rows in by_tx.values():
             if rows[-1] >= cut:
                 del rows[bisect_left(rows, cut) :]
         for row in range(cut, len(kinds)):
             if kinds[row] < _FIRST_MARK:
-                by_tx[tx_ids[row]].append(row)
-
-    def _compact(self) -> None:
-        """Reclaim every transaction that has a commit or abort mark, and
-        drop every mark."""
-        marked = set(self.committed_tx_ids())
-        marked.update(self.aborted_tx_ids())
-        self.reclaim_all(marked, marks=True)
+                rows = by_tx.get(tx_ids[row])
+                if rows is None:
+                    by_tx[tx_ids[row]] = array("q", (row,))
+                else:
+                    rows.append(row)
 
     def wipe(self) -> None:
         """Lose all contents (crash of a volatile log)."""
@@ -354,3 +442,7 @@ class HardwareLog:
         self._values = array("q")
         self._by_tx: Dict[int, array] = {}
         self._cursor_bytes = 0
+        #: Line address -> sequence number at its last drain to NVM since
+        #: the last background pass (see :meth:`note_drained`).
+        self._drained_at: Dict[int, int] = {}
+        self._next_reclaim = RECLAIM_FLOOR

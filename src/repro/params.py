@@ -180,12 +180,15 @@ class MachineConfig:
         Associativity is preserved; sizes are rounded to keep the
         sets-times-ways-times-line invariant.
 
-        The harness shrinks caches *more* than footprints (``scale / 4``)
-        as contention compensation: a block-level model charges only memory
-        latency, so transactions live ~4x shorter relative to co-runner
+        The experiment harness shrinks caches *more* than footprints:
+        ``ExperimentSpec`` (``repro.harness.config``) passes
+        ``cache_scale = scale / 16`` unless the spec sets its own.  That is
+        contention compensation: a block-level model charges only memory
+        latency, so transactions live shorter relative to co-runner
         eviction traffic than on the paper's in-order cores executing real
         instruction streams.  Shrinking the caches restores the paper's
-        footprint-pressure-per-transaction-lifetime.
+        footprint-pressure-per-transaction-lifetime.  The DRAM cache in
+        front of NVM shrinks by ``scale``, not ``cache_scale``.
         """
         _require(0 < scale <= 1, "scale must be in (0, 1]")
         if cache_scale is None:

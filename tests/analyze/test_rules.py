@@ -75,7 +75,7 @@ class TestHook003:
         roots = {f.message.split("'")[1] for f in findings}
         assert roots == {
             "self.fault_injector",
-            "self.pre_compact",
+            "self.on_nvm_commit",
             "injector",
             "self.hierarchy.on_llc_miss",
         }

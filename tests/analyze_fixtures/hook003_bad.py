@@ -4,13 +4,13 @@
 class Machine:
     def __init__(self):
         self.fault_injector = None
-        self.pre_compact = None
+        self.on_nvm_commit = None
 
     def step(self):
         self.fault_injector.on_step(1)
 
-    def compact(self):
-        self.pre_compact()
+    def commit(self):
+        self.on_nvm_commit(1, {})
 
     def aliased(self, controller):
         injector = controller.fault_injector

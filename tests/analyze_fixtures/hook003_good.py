@@ -4,15 +4,15 @@
 class Machine:
     def __init__(self):
         self.fault_injector = None
-        self.pre_compact = None
+        self.on_nvm_commit = None
 
     def step(self):
         if self.fault_injector is not None:
             self.fault_injector.on_step(1)
 
-    def compact(self):
-        if self.pre_compact is not None and self.ready:
-            self.pre_compact()
+    def commit(self):
+        if self.on_nvm_commit is not None and self.ready:
+            self.on_nvm_commit(1, {})
 
     def aliased(self, controller):
         injector = controller.fault_injector

@@ -12,9 +12,9 @@ from repro.faults import (
     build_system,
     execute_plan,
 )
-from repro.mem.address import line_of
-from repro.mem.address import MemoryKind, Region
-from repro.mem.log import HardwareLog, RecordKind
+from repro.mem.controller import MemoryController
+from repro.mem.log import RECLAIM_FLOOR
+from repro.params import LINE_SIZE, LatencyConfig, MemoryConfig
 
 CONFIG = CampaignConfig(workload="hashmap", crashes=1, seed=11)
 BUGGY = CampaignConfig(
@@ -95,31 +95,68 @@ class TestRecoveryReport:
         assert system.controller.discard_uncommitted_nvm_records() == 0
 
 
-class TestCompactionDurabilityOrder:
-    """Log compaction must drain the DRAM cache before reclaiming committed
-    transactions' redo records — until the drain, those records can be the
-    only durable copy of a committed line."""
+class TestReclamationDurabilityOrder:
+    """Background reclamation may drop a committed transaction's redo
+    records only once its lines are in NVM in place — until the drain,
+    those records can be the only durable copy of a committed line."""
 
-    def test_pre_compact_hook_runs_before_reclaim(self):
-        # A log that fits two data records: the third append must compact.
-        size = 3 * (16 + 64) - 8
-        log = HardwareLog(Region(MemoryKind.NVM, 0x1000, size), "nvm")
-        drained = []
-        log.pre_compact = lambda: drained.append(len(log))
-        log.append_data(RecordKind.REDO, 1, 0x40, {0x40: 1})
-        log.append_mark(RecordKind.COMMIT, 1)
-        log.append_data(RecordKind.REDO, 2, 0x80, {0x80: 2})
-        log.append_data(RecordKind.REDO, 2, 0xC0, {0xC0: 3})  # triggers
-        assert drained, "compaction ran without the pre-compact drain"
+    @staticmethod
+    def controller(lines):
+        return MemoryController(
+            MemoryConfig(dram_cache_bytes=lines * LINE_SIZE), LatencyConfig()
+        )
 
-    def test_controller_wires_drain_before_nvm_reclaim(self):
-        system, _workload, _oracle = build_system(CONFIG)
-        controller = system.controller
-        assert controller.nvm_log.pre_compact is not None
-        word = system.heap.alloc_words(1, MemoryKind.NVM)
-        controller.dram_cache.fill(line_of(word), {word: 5}, 1, committed=True)
-        before = controller.background_nvm_writes
-        controller.nvm_log.pre_compact()
-        assert controller.background_nvm_writes > before
-        assert len(controller.dram_cache) == 0
-        assert controller.nvm.load(word) == 5
+    def test_record_outlives_its_undrained_line(self):
+        controller = self.controller(lines=4)
+        addr = controller.address_space.nvm_heap.base
+        controller.commit_nvm_transaction(1, {addr: {addr: 5}})
+        controller.nvm_log.reclaim_durable()
+        assert len(controller.nvm_log.records_of(1)) == 1
+        controller.crash()
+        controller.recover()
+        assert controller.nvm.load(addr) == 5
+
+    def test_drain_lets_the_record_go(self):
+        controller = self.controller(lines=1)
+        base = controller.address_space.nvm_heap.base
+        controller.commit_nvm_transaction(1, {base: {base: 5}})
+        controller.commit_nvm_transaction(2, {base + 64: {base + 64: 6}})
+        assert controller.nvm.load(base) == 5  # drained by tx 2's fill
+        controller.nvm_log.reclaim_durable()
+        assert controller.nvm_log.data_tx_ids() == [2]
+        controller.crash()
+        controller.recover()
+        assert (controller.nvm.load(base), controller.nvm.load(base + 64)) == (5, 6)
+
+    def test_drain_before_the_commit_fills_its_line_does_not_count(self):
+        """Tx 2's own fills evict its line ``b`` while ``b`` still holds
+        tx 1's image: that drain must not let tx 2's record for ``b`` go."""
+        controller = self.controller(lines=2)
+        base = controller.address_space.nvm_heap.base
+        a, b, c = base, base + 64, base + 128
+        controller.commit_nvm_transaction(1, {b: {b + 8: 1}})
+        controller.commit_nvm_transaction(
+            2, {a: {a: 2}, c: {c: 2}, b: {b: 2}}
+        )
+        assert controller.nvm.load(b + 8) == 1 and controller.nvm.load(b) == 0
+        controller.nvm_log.reclaim_durable()
+        assert [r.line_addr for r in controller.nvm_log.records_of(2)] == [c, b]
+        controller.crash()
+        controller.recover()
+        assert controller.nvm.load(b) == 2
+        assert controller.nvm.load(b + 8) == 1
+
+    def test_commits_reclaim_in_the_background(self):
+        controller = self.controller(lines=8)
+        base = controller.address_space.nvm_heap.base
+        expected = {}
+        for tx_id in range(1, 3001):
+            line = base + (tx_id * 7 % 40) * LINE_SIZE
+            words = {line + 8 * (tx_id % 3): tx_id}
+            expected.update(words)
+            controller.commit_nvm_transaction(tx_id, {line: words})
+        assert controller.dram_cache.drains > 1000
+        assert len(controller.nvm_log) < 2 * RECLAIM_FLOOR
+        controller.crash()
+        controller.recover()
+        assert {addr: controller.nvm.load(addr) for addr in expected} == expected
