@@ -16,19 +16,14 @@ from .core import (
     render_text,
     run_analysis,
 )
-from .dataflow import CallGraph, FunctionKey, ProjectIndex, engine_for
 from .sarif import render_sarif
 
 __all__ = [
     "AnalysisReport",
-    "CallGraph",
     "Checker",
     "Finding",
-    "FunctionKey",
     "Project",
-    "ProjectIndex",
     "SourceFile",
-    "engine_for",
     "register",
     "registered_checkers",
     "render_json",

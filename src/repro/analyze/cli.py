@@ -7,24 +7,15 @@ Usage::
     python -m repro lint --rules DET001,LAY002 # a rule subset
     python -m repro lint --json                # machine-readable report
     python -m repro lint --sarif out.sarif     # SARIF 2.1.0 artifact
-    python -m repro lint --changed [BASE]      # only changed files (CI)
-    python -m repro lint --fail-on error       # warnings don't fail
     python -m repro lint --fix-suppress        # append/merge allow[...]
 
-``--changed`` scopes the *report* to files that differ from the git merge
-base (plus untracked files); the whole tree is still analysed so the
-cross-file checkers (ATOM005/CLK008) keep their symbol tables and call
-graphs.  Without a usable git repository it falls back to a full lint.
-
-Exit codes: 0 clean, 1 findings at or above ``--fail-on``, 2 usage or
-internal error.
+Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import re
-import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -98,74 +89,11 @@ def _apply_suppressions(report: AnalysisReport) -> int:
     return rewritten
 
 
-# -- --changed: git-diff scope ------------------------------------------------
-
-
-def _git(args: Sequence[str], cwd: Path) -> Optional[str]:
-    try:
-        completed = subprocess.run(
-            ["git", *args],
-            cwd=str(cwd),
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if completed.returncode != 0:
-        return None
-    return completed.stdout
-
-
-def changed_py_files(
-    base: Optional[str], cwd: Optional[Path] = None
-) -> Optional[List[Path]]:
-    """``.py`` files changed since the merge base (plus untracked ones).
-
-    ``base`` is a ref to diff against (``origin/main`` in CI); ``None``
-    tries ``origin/main`` then ``main``.  Returns ``None`` when git is
-    unavailable or no base resolves — callers fall back to a full lint.
-    """
-    cwd = cwd or Path.cwd()
-    root_text = _git(["rev-parse", "--show-toplevel"], cwd)
-    if root_text is None:
-        return None
-    root = Path(root_text.strip())
-    candidates = [base] if base else ["origin/main", "main"]
-    merge_base = None
-    for candidate in candidates:
-        if candidate is None:
-            continue
-        out = _git(["merge-base", "HEAD", candidate], cwd)
-        if out is not None:
-            merge_base = out.strip()
-            break
-    if merge_base is None:
-        return None
-    changed = _git(
-        ["diff", "--name-only", "--diff-filter=d", merge_base, "--", "*.py"],
-        cwd,
-    )
-    untracked = _git(
-        ["ls-files", "--others", "--exclude-standard", "--", "*.py"], cwd
-    )
-    if changed is None:
-        return None
-    names = set(changed.splitlines())
-    names.update((untracked or "").splitlines())
-    out_paths = [
-        root / name for name in sorted(names) if name.endswith(".py")
-    ]
-    return [path for path in out_paths if path.exists()]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description="Static analysis: determinism, layering, hook guards, "
-        "coherence-FSM completeness, and the crash/concurrency protocol "
-        "checkers (atomic publication, pickle boundary, clock funnels, "
-        "trace counters).",
+        "coherence-FSM completeness, and tracer emits.",
     )
     parser.add_argument(
         "paths",
@@ -186,23 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rules",
         metavar="IDS",
         help="comma-separated rule ids to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="BASE",
-        help="report only findings in files changed since the git merge "
-        "base with BASE (default: origin/main, then main); the full tree "
-        "is still analysed for cross-file context",
-    )
-    parser.add_argument(
-        "--fail-on",
-        choices=("error", "warning"),
-        default="warning",
-        help="minimum severity that fails the run (default: warning — any "
-        "finding fails)",
     )
     parser.add_argument(
         "--fix-suppress",
@@ -230,18 +141,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rules:
         rules = [part.strip() for part in args.rules.split(",") if part.strip()]
 
-    report_paths: Optional[List[Path]] = None
-    if args.changed is not None:
-        report_paths = changed_py_files(args.changed or None)
-        if report_paths is None:
-            print(
-                "warning: --changed needs a git repository with a reachable "
-                "base; falling back to a full lint",
-                file=sys.stderr,
-            )
-
     try:
-        report = run_analysis(paths, rules=rules, report_paths=report_paths)
+        report = run_analysis(paths, rules=rules)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -255,9 +156,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.sarif.write_text(render_sarif(report), encoding="utf-8")
 
     print(render_json(report) if args.json else render_text(report))
-    failing = [
-        f
-        for f in report.findings
-        if args.fail_on == "warning" or f.severity == "error"
-    ]
-    return 0 if not failing else 1
+    return 0 if report.ok else 1

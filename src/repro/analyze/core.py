@@ -64,12 +64,6 @@ _SUPPRESS_FILE = re.compile(
 )
 
 
-#: Finding severities, most severe first.  ``error`` findings are protocol
-#: violations; ``warning`` findings are blanket-net heuristics (e.g.
-#: ATOM005's non-atomic-write catch-all) a reviewer should look at.
-SEVERITIES = ("error", "warning")
-
-
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location."""
@@ -79,7 +73,6 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -91,7 +84,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
 
 
@@ -214,17 +206,12 @@ class Checker:
 
     rule = "XXX000"
     description = ""
-    severity = "error"
 
     def check(self, source: SourceFile, project: Project) -> Iterable[Finding]:
         return ()
 
     def finding(
-        self,
-        source: SourceFile,
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
+        self, source: SourceFile, node: ast.AST, message: str
     ) -> Finding:
         return Finding(
             rule=self.rule,
@@ -232,7 +219,6 @@ class Checker:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity or self.severity,
         )
 
 
@@ -251,16 +237,7 @@ def register(checker_cls):
 def registered_checkers() -> Dict[str, Checker]:
     # Import the rule modules on first use so the registry is populated
     # without import-order games.
-    from . import (  # noqa: F401
-        atomic,
-        clockflow,
-        determinism,
-        fsm,
-        hooks,
-        layering,
-        pickles,
-        tracing,
-    )
+    from . import determinism, fsm, hooks, layering, tracing  # noqa: F401
 
     return dict(_REGISTRY)
 
@@ -280,16 +257,9 @@ class AnalysisReport:
 
 
 def run_analysis(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[str]] = None,
-    report_paths: Optional[Sequence[Path]] = None,
+    paths: Sequence[Path], rules: Optional[Sequence[str]] = None
 ) -> AnalysisReport:
-    """Run the registered checkers over every ``.py`` file under ``paths``.
-
-    With ``report_paths`` (the ``--changed`` fast path), the whole tree is
-    still loaded — the cross-file checkers need full symbol tables and call
-    graphs — but only findings in those files are reported.
-    """
+    """Run the registered checkers over every ``.py`` file under ``paths``."""
     checkers = registered_checkers()
     if rules is not None:
         unknown = sorted(set(rules) - set(checkers))
@@ -297,16 +267,8 @@ def run_analysis(
             raise ValueError(f"unknown rule(s): {', '.join(unknown)}")
         checkers = {rule: checkers[rule] for rule in rules}
     project, findings = Project.load(paths)
-    reported: Optional[Set[str]] = None
-    if report_paths is not None:
-        reported = {str(p.resolve()) for p in _collect_py_files(report_paths)}
-        findings = [
-            f for f in findings if str(Path(f.path).resolve()) in reported
-        ]
     suppressed = 0
     for source in project.files:
-        if reported is not None and str(source.path.resolve()) not in reported:
-            continue
         for checker in checkers.values():
             for finding in checker.check(source, project):
                 if source.suppressed(finding.rule, finding.line):
@@ -328,10 +290,7 @@ def run_analysis(
 def render_text(report: AnalysisReport) -> str:
     out: List[str] = []
     for finding in report.findings:
-        tag = "" if finding.severity == "error" else f" [{finding.severity}]"
-        out.append(
-            f"{finding.location()}: {finding.rule}{tag} {finding.message}"
-        )
+        out.append(f"{finding.location()}: {finding.rule} {finding.message}")
     noun = "file" if report.files_checked == 1 else "files"
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_checked} {noun} "
@@ -388,13 +347,6 @@ def ancestors(node: ast.AST) -> Iterable[ast.AST]:
     while current is not None:
         yield current
         current = parent_of(current)
-
-
-def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
-    for ancestor in ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
 
 
 def in_type_checking_block(node: ast.AST) -> bool:

@@ -51,8 +51,7 @@ BANNED_MODULES = frozenset({"random", "secrets"})
 SANCTIONED_RANDOM_FILES = ("repro/sim/rng.py",)
 
 #: Files allowed to read the wall clock — the declared funnel set from the
-#: layers registry (CLK008 enforces the stronger call-graph property over
-#: the same list).
+#: layers registry.
 SANCTIONED_CLOCK_FILES = CLOCK_FUNNEL_FILES
 
 #: ``module -> attribute names`` whose call reads wall-clock or OS entropy.

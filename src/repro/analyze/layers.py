@@ -57,12 +57,11 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
 UNLAYERED_MODULES: FrozenSet[str] = frozenset({"errors", "params"})
 
 #: The wall-clock funnels (posix path suffixes): the only modules that may
-#: call ``time.*``/``datetime.now`` directly.  DET001 exempts them from its
-#: per-file clock ban and CLK008 enforces the stronger funnel property —
-#: no sim-critical function may even *reach* a clock read through the call
-#: graph except through these.  Timing and profiling are inherently
-#: wall-clock activities; their readings only ever describe the host, never
-#: the simulation.
+#: call ``time.*``/``datetime.now`` directly, exempt from DET001's per-file
+#: clock ban.  Timing and profiling are inherently wall-clock activities;
+#: their readings only ever describe the host, never the simulation (the
+#: runtime probe in ``tests/harness/test_no_clock_reads.py`` checks that no
+#: simulation calls a clock at all, funnels included).
 CLOCK_FUNNEL_FILES: tuple = (
     "repro/harness/timer.py",
     "repro/perf/phases.py",

@@ -21,9 +21,6 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Finding severity -> SARIF result level.
-_LEVELS = {"error": "error", "warning": "warning"}
-
 
 def sarif_payload(report: AnalysisReport) -> Dict[str, object]:
     checkers = registered_checkers()
@@ -44,7 +41,7 @@ def sarif_payload(report: AnalysisReport) -> Dict[str, object]:
     for finding in report.findings:
         result: Dict[str, object] = {
             "ruleId": finding.rule,
-            "level": _LEVELS.get(finding.severity, "error"),
+            "level": "error",
             "message": {"text": finding.message},
             "locations": [
                 {

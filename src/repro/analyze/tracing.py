@@ -15,20 +15,28 @@ Checked here, statically:
   assigned from a ``.tracer`` attribute, a ``tracer`` parameter) is guarded
   by the HOOK003 convention — enclosing ``if``/ternary test, earlier
   bailout, or assert;
-* every emit whose kind is in
-  :data:`repro.analyze.protocol.TRACE_COUNTER_KINDS` has a ``*.incr``
-  of the matching counter in the same function body.
+* every emit whose kind is in :data:`TRACE_COUNTER_KINDS` has a
+  ``*.incr`` of the matching counter in the same function body.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .core import Checker, Finding, Project, SourceFile, register
-from .dataflow import iter_own_nodes
 from .hooks import is_guarded
-from .protocol import TRACE_COUNTER_KINDS
+
+#: ``trace kind -> stats counter`` pairs the trace forensics rely on being
+#: count-exact; the emit and its increment must sit in the same function
+#: body so the invariant survives refactors.  (``sig.hit`` is deliberately absent: its
+#: counter name is conditional on the probe outcome.)
+TRACE_COUNTER_KINDS: Dict[str, str] = {
+    "tx.begin": "tx.begins",
+    "tx.commit": "tx.commits",
+    "tx.abort": "tx.aborts",
+    "llc.overflow": "llc.tx_evictions",
+}
 
 
 def _scopes(tree: ast.AST) -> Iterable[ast.AST]:
@@ -36,6 +44,17 @@ def _scopes(tree: ast.AST) -> Iterable[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
+
+
+def iter_own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``scope``'s body, excluding nested function bodies."""
+    stack: List[ast.AST] = list(getattr(scope, "body", []))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # a nested def is its own scope; don't descend
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _tracer_aliases(nodes: Iterable[ast.AST]) -> Set[str]:

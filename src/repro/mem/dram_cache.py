@@ -161,18 +161,6 @@ class DramCache:
         self._stamp(entry)
         return self._enforce_capacity()
 
-    def mark_committed(self, line_addr: int, tx_id: int) -> bool:
-        """Flip an uncommitted entry of ``tx_id`` to committed."""
-        entry = self._entries.get(line_addr)
-        if entry is None or entry.invalid or entry.tx_id != tx_id:
-            return False
-        entry.committed = True
-        entry.committed_words = None
-        # Became evictable in place: keeps its LRU position, so queue it
-        # under its *current* stamp.
-        self._queue(entry.lru_seq, line_addr)
-        return True
-
     def invalidate(self, line_addr: int, tx_id: int) -> bool:
         """Set the invalidate bit on an uncommitted entry (abort path).
 

@@ -21,11 +21,8 @@ class TestRegistry:
             "LAY002",
             "HOOK003",
             "FSM004",
-            "ATOM005",
-            "PKL006",
-            "CLK008",
             "TRC009",
-        } <= set(registered_checkers())
+        } == set(registered_checkers())
 
     def test_rules_filter_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -64,7 +61,7 @@ class TestReporters:
         assert payload["ok"] is False
         assert payload["files_checked"] == 1
         assert all(
-            {"rule", "path", "line", "col", "message"} <= set(f)
+            {"rule", "path", "line", "col", "message"} == set(f)
             for f in payload["findings"]
         )
 
@@ -88,10 +85,7 @@ class TestCli:
             "fsm004_unreachable.py",
             "fsm004_bad_directory.py",
             "repro/htm/import_bad.py",
-            "atom005_bad.py",
-            "pkl006_bad.py",
             "trc009_bad.py",
-            "repro/htm/clock_bad.py",
         ):
             assert lint_main([str(FIXTURES / name)]) == 1, name
 
@@ -117,20 +111,15 @@ class TestCli:
             "LAY002",
             "HOOK003",
             "FSM004",
-            "ATOM005",
-            "PKL006",
-            "CLK008",
             "TRC009",
         ):
             assert rule in out
 
-    def test_fail_on_error_lets_warnings_pass(self, capsys):
-        blanket = str(FIXTURES / "repro" / "harness" / "cache.py")
-        assert lint_main(["--rules", "ATOM005", blanket]) == 1
-        assert (
-            lint_main(["--rules", "ATOM005", "--fail-on", "error", blanket])
-            == 0
-        )
+    @pytest.mark.parametrize("option", ["--fail-on=error", "--changed"])
+    def test_removed_options_are_rejected(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([option, str(FIXTURES / "det001_bad.py")])
+        assert exit_info.value.code == 2
 
     def test_sarif_export(self, tmp_path, capsys):
         out = tmp_path / "lint.sarif"
@@ -189,65 +178,8 @@ class TestFixSuppressIdempotency:
 
     def test_marker_merge_unions_rule_ids(self):
         line = "x = 1  # repro: allow[DET001]\n"
-        merged = _merge_allow_marker(line, {"ATOM005", "DET001"})
-        assert merged == "x = 1  # repro: allow[ATOM005,DET001]\n"
+        merged = _merge_allow_marker(line, {"TRC009", "DET001"})
+        assert merged == "x = 1  # repro: allow[DET001,TRC009]\n"
         # Merging again with the same rules is a no-op.
-        assert _merge_allow_marker(merged, {"ATOM005"}) == merged
+        assert _merge_allow_marker(merged, {"TRC009"}) == merged
 
-
-class TestChangedScope:
-    def _git(self, *args, cwd):
-        import subprocess
-
-        subprocess.run(
-            ["git", *args],
-            cwd=str(cwd),
-            check=True,
-            capture_output=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-                "HOME": str(cwd),
-                "PATH": "/usr/bin:/bin:/usr/local/bin",
-            },
-        )
-
-    def test_changed_reports_only_new_files(self, tmp_path, monkeypatch, capsys):
-        bad = (FIXTURES / "det001_bad.py").read_text(encoding="utf-8")
-        self._git("init", "-b", "main", cwd=tmp_path)
-        committed = tmp_path / "old_bad.py"
-        committed.write_text(bad, encoding="utf-8")
-        self._git("add", "old_bad.py", cwd=tmp_path)
-        self._git("commit", "-m", "seed", cwd=tmp_path)
-        fresh = tmp_path / "new_bad.py"
-        fresh.write_text(bad, encoding="utf-8")
-
-        monkeypatch.chdir(tmp_path)
-        code = lint_main(
-            ["--rules", "DET001", "--changed", "main", "--json", str(tmp_path)]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        paths = {f["path"] for f in payload["findings"]}
-        assert all(p.endswith("new_bad.py") for p in paths), paths
-        assert paths  # the untracked file IS reported
-
-    def test_changed_without_git_falls_back_to_full_lint(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        scratch = tmp_path / "scratch.py"
-        scratch.write_text(
-            (FIXTURES / "det001_bad.py").read_text(encoding="utf-8"),
-            encoding="utf-8",
-        )
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nope"))
-        code = lint_main(
-            ["--rules", "DET001", "--changed", "--json", str(scratch)]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "falling back to a full lint" in captured.err
-        assert json.loads(captured.out)["findings"]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analyze import run_analysis
+from repro.analyze.tracing import iter_own_nodes
 
 FIXTURES = Path(__file__).parent.parent / "analyze_fixtures"
 
@@ -107,3 +109,33 @@ class TestFsm004:
         ]
         assert messages
         assert all("dispatch gap" in m for m in messages)
+
+
+class TestTrc009:
+    def test_bad_fixture_flags_both_classes(self):
+        messages = [f.message for f in findings_for("trc009_bad.py", "TRC009")]
+        assert len(messages) == 3
+        assert any("is not None-guarded" in m for m in messages)
+        assert any(
+            "emit('tx.commit') has no adjacent incr('tx.commits')" in m
+            for m in messages
+        )
+
+    def test_good_fixture_is_clean(self):
+        assert findings_for("trc009_good.py", "TRC009") == []
+
+    def test_iter_own_nodes_skips_nested_function_bodies(self):
+        tree = ast.parse(
+            "def outer():\n"
+            "    a = 1\n"
+            "    def inner():\n"
+            "        b = 2\n"
+            "    return a\n"
+        )
+        scope = tree.body[0]
+        names = {
+            node.targets[0].id
+            for node in iter_own_nodes(scope)
+            if isinstance(node, ast.Assign)
+        }
+        assert names == {"a"}

@@ -8,9 +8,13 @@ tear the artifact or leave staging droppings behind.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 import multiprocessing
+from pathlib import Path
+
+import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentSpec, consolidated
@@ -118,3 +122,50 @@ class TestMultiWriterPut:
             cache.put(_spec(1), _result())
             cache.put(dataclasses.replace(_spec(1), seed=2), _result())
         assert len(seen) == 2
+
+
+class WriterKilled(Exception):
+    """Stands in for the process dying part way through a write."""
+
+
+def _torn(open_fn):
+    """Wrap an ``open`` so that a file opened for writing takes half of its
+    first write, then the writer "dies"."""
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = open_fn(file, mode, *args, **kwargs)
+        if not set(mode) & set("wax"):
+            return handle
+        write = handle.write
+
+        def write_half(data):
+            write(data[: len(data) // 2])
+            handle.close()
+            raise WriterKilled(str(file))
+
+        handle.write = write_half
+        return handle
+
+    return torn_open
+
+
+def test_a_put_killed_mid_write_publishes_nothing(tmp_path):
+    """A writer that dies mid-``put`` leaves no entry for readers to find:
+    the point is a clean miss (not a corrupt hit) and is simply simulated
+    again.  Writing the entry in place, or renaming before the content is
+    written, fails here whichever ``open`` the write goes through."""
+    cache = ResultCache(tmp_path)
+    spec = _spec(7)
+    path = cache.path_for(cache.fingerprint(spec))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Path, "open", _torn(Path.open))
+        patch.setattr(builtins, "open", _torn(builtins.open))
+        with pytest.raises(WriterKilled):
+            cache.put(spec, _result())
+    assert not path.exists()
+    fresh = ResultCache(tmp_path)
+    assert fresh.get(spec) is None
+    assert (fresh.stats.misses, fresh.stats.corrupt) == (1, 0)
+    # Once the writer survives, the same point publishes normally.
+    fresh.put(spec, _result())
+    assert fresh.get(spec) == _result()

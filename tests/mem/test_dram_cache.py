@@ -135,18 +135,6 @@ class TestInvalidation:
         assert nvm.load(0x00) == 1
         assert cache.lookup(0x00) is None
 
-    def test_mark_committed(self, nvm):
-        cache = make_cache(nvm)
-        cache.fill(0x40, {0x40: 9}, tx_id=5, committed=False)
-        assert cache.mark_committed(0x40, 5)
-        entry = cache.lookup(0x40)
-        assert entry.committed
-
-    def test_mark_committed_wrong_tx(self, nvm):
-        cache = make_cache(nvm)
-        cache.fill(0x40, {0x40: 9}, tx_id=5, committed=False)
-        assert not cache.mark_committed(0x40, 7)
-
 
 class _DrainLog:
     """An NVM stand-in that records which line each drain stores."""
@@ -179,7 +167,7 @@ class TestVictimHeap:
                 yield "lookup", rng.randrange(4, 20) * LINE_SIZE, 0
             for _ in range(400):
                 kind = rng.choice(
-                    ("fill", "fill_committed", "mark", "invalidate", "lookup")
+                    ("fill", "fill_committed", "invalidate", "lookup")
                 )
                 line = rng.randrange(32)
                 yield kind, line * LINE_SIZE, 1 + line % 3  # one writer per line
@@ -205,8 +193,6 @@ class TestVictimHeap:
             for cache in (compacted, reference):
                 if kind == "lookup":
                     cache.lookup(line)
-                elif kind == "mark":
-                    cache.mark_committed(line, tx)
                 elif kind == "invalidate":
                     cache.invalidate(line, tx)
                 else:

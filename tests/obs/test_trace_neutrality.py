@@ -22,7 +22,7 @@ from repro.harness.parallel import GridPoint
 from repro.harness.runner import run_experiment
 from repro.obs.capture import trace_experiment, trace_grid
 from repro.obs.cli import _build_points
-from repro.obs.events import TX_READ, TX_WRITE
+from repro.obs.events import TX_ABORT, TX_BEGIN, TX_COMMIT, TX_READ, TX_WRITE
 
 
 class TestTraceNeutrality:
@@ -70,6 +70,18 @@ class TestTraceGridParallel:
             assert run_result_to_dict(a.result) == run_result_to_dict(b.result)
             assert a.events == b.events  # the stream survives pickling intact
             assert a.dropped == b.dropped
+
+    def test_pooled_events_are_count_exact(self, tiny_spec, contended_spec):
+        """Events recorded in a worker reach the parent: a tracer built in
+        the parent and shipped into the pool would record into the
+        worker's copy and come back empty."""
+        points = [GridPoint(spec=tiny_spec), GridPoint(spec=contended_spec)]
+        for run in trace_grid(points, jobs=2):
+            kinds = [event.kind for event in run.events]
+            assert run.dropped == 0
+            assert kinds.count(TX_BEGIN) == run.result.begins > 0
+            assert kinds.count(TX_COMMIT) == run.result.commits > 0
+            assert kinds.count(TX_ABORT) == run.result.aborts
 
 
 def projected_sha256(events) -> str:
