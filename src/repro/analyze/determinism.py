@@ -64,6 +64,10 @@ NONDETERMINISTIC_CALLS: Dict[str, frozenset] = {
             "monotonic_ns",
             "perf_counter",
             "perf_counter_ns",
+            "process_time",
+            "process_time_ns",
+            "thread_time",
+            "thread_time_ns",
         }
     ),
     "datetime": frozenset({"now", "utcnow", "today"}),

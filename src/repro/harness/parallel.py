@@ -86,14 +86,18 @@ class GridOutcome:
         return {run.key: run.result for run in self.runs}
 
 
-def execute_point(point: GridPoint) -> Tuple[RunResult, float]:
-    """One grid point to one timed result.
+def execute_point(
+    spec: ExperimentSpec, label: Optional[str]
+) -> Tuple[RunResult, float]:
+    """One grid point's spec and label to one timed result.
 
     The serial loop and the process pool both run this (it must stay a
-    module-level function: it is pickled to the workers).
+    module-level function: it is pickled to the workers).  It takes the
+    point's fields rather than the :class:`GridPoint`, so the point's
+    ``key`` is never pickled.
     """
     stopwatch = Stopwatch()
-    result = run_experiment(point.spec, point.label)
+    result = run_experiment(spec, label)
     return result, stopwatch.elapsed_s
 
 
@@ -112,10 +116,14 @@ def _execute_pending(
     """
     if workers <= 1:
         for index in pending:
-            on_done(index, execute_point(points[index]))
+            point = points[index]
+            on_done(index, execute_point(point.spec, point.label))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(execute_point, points[i]): i for i in pending}
+        futures = {
+            pool.submit(execute_point, points[i].spec, points[i].label): i
+            for i in pending
+        }
         try:
             for future in as_completed(futures):
                 on_done(futures[future], future.result())
@@ -179,7 +187,7 @@ def run_grid_detailed(
         held.append(index)
         if index != pending[0]:
             return
-        serial_result, _ = execute_point(points[index])
+        serial_result, _ = execute_point(points[index].spec, points[index].label)
         if run_result_to_dict(serial_result) != run_result_to_dict(outcome[0]):
             raise SimulationError(
                 "parallel execution broke the bit-identical contract for "

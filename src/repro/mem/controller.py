@@ -16,7 +16,7 @@ from .address import AddressSpace, DRAM_BASE, MemoryKind, NVM_BASE, line_of
 
 #: Inlined :func:`line_of` for the per-access controller entry points.
 _LINE_MASK = ~(LINE_SIZE - 1)
-from .backend import BackingStore
+from .backend import PAGE_SHIFT, SLOT_MASK, WORD_SHIFT, BackingStore
 from .channel import MemoryChannel
 from .dram_cache import DramCache
 from .log import HardwareLog, RecordKind
@@ -37,11 +37,15 @@ class MemoryController:
         # construction (the range compares are inlined below instead of
         # calling is_dram/is_nvm per access), and the DRAM-cache probes are
         # invariant bound methods (wipe() mutates the cache in place, never
-        # replaces it).  Every LLC miss goes through them.
+        # replaces it).  Every LLC miss goes through them.  Loads read the
+        # backing stores' page maps directly, which are likewise only ever
+        # mutated in place.
         self._dram_end = self.address_space.dram_end
         self._nvm_end = self.address_space.nvm_end
         self._dc_contains = self.dram_cache.contains
         self._dc_lookup = self.dram_cache.lookup
+        self._dram_pages = self.dram.pages
+        self._nvm_pages = self.nvm.pages
         if config.model_bandwidth:
             self.dram_channel: Optional[MemoryChannel] = MemoryChannel(
                 "dram", latency.dram_line_transfer_ns
@@ -112,10 +116,15 @@ class MemoryController:
             entry = self._dc_lookup(addr & _LINE_MASK)
             if entry is not None and addr in entry.words:
                 return entry.words[addr]
-            return self.nvm.load(addr)
-        if DRAM_BASE <= addr < self._dram_end:
-            return self.dram.load(addr)
-        return self.nvm.load(addr)
+            page = self._nvm_pages.get(addr >> PAGE_SHIFT)
+        elif DRAM_BASE <= addr < self._dram_end:
+            page = self._dram_pages.get(addr >> PAGE_SHIFT)
+        else:
+            page = self._nvm_pages.get(addr >> PAGE_SHIFT)
+        # Inlined BackingStore.load: one page lookup instead of a call.
+        if page is None:
+            return 0
+        return page[(addr >> WORD_SHIFT) & SLOT_MASK]
 
     def store_word(self, addr: int, value: int) -> None:
         """Non-transactional in-place store.
@@ -133,7 +142,7 @@ class MemoryController:
                 return
             self.nvm.store(addr, value)
             return
-        if self.address_space.is_dram(addr):
+        if DRAM_BASE <= addr < self._dram_end:
             self.dram.store(addr, value)
             return
         self.nvm.store(addr, value)

@@ -30,6 +30,17 @@ class TestDet001:
     def test_good_fixture_is_clean(self):
         assert findings_for("det001_good.py", "DET001") == []
 
+    def test_cpu_clocks_in_sim_critical_code_flagged(self):
+        """CPU time varies run to run just as the wall clock does."""
+        messages = [
+            f.message
+            for f in findings_for("repro/htm/cpu_clock_bad.py", "DET001")
+        ]
+        for name in (
+            "process_time", "process_time_ns", "thread_time", "thread_time_ns"
+        ):
+            assert any(f"time.{name}() is nondeterministic" in m for m in messages)
+
 
 class TestLay002:
     def test_internals_bypass_flagged(self):

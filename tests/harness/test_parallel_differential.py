@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -90,6 +91,17 @@ class TestBitIdenticalGrid:
         }
         assert exports[1] == exports[2] == exports[4]
         assert exports[1].encode("utf-8") == exports[4].encode("utf-8")
+
+    def test_key_never_reaches_the_workers(self):
+        """A point's ``key`` stays in the parent: one that cannot be pickled
+        (it holds a lock) runs on the pool with the serial results."""
+        points = [
+            dataclasses.replace(point, key=(point.key, threading.Lock()))
+            for point in build_grid(base_spec(), small_axes())[:2]
+        ]
+        serial = [run_result_to_dict(r) for r in run_grid(points, jobs=1)]
+        pooled = [run_result_to_dict(r) for r in run_grid(points, jobs=2)]
+        assert pooled == serial
 
     def test_verify_sample_accepts_honest_pool(self):
         points = build_grid(base_spec(), small_axes())

@@ -45,6 +45,21 @@ class TestLoadStore:
         dram.store(8, 3)  # overwrite, not a new word
         assert dram.word_count() == 2
 
+    def test_stored_zero_is_not_counted(self, dram):
+        """A zero word cannot be told from an unwritten one."""
+        dram.store(0, 1)
+        dram.store(8, 0)
+        assert dram.word_count() == 1
+        dram.store(0, 0)
+        assert dram.word_count() == 0
+        assert dict(dram.words()) == {}
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 1.5])
+    def test_value_outside_signed_64_bits_rejected(self, dram, value):
+        with pytest.raises(AddressError):
+            dram.store(0x1000, value)
+        assert dram.load(0x1000) == 0
+
 
 class TestLatencies:
     def test_dram_symmetric(self, dram):

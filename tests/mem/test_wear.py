@@ -33,6 +33,19 @@ class TestWearTracker:
         assert tracker.total_line_writes == 4
         assert tracker.distinct_lines == 4
 
+    def test_direct_store_counted_once(self):
+        """A non-transactional NVM store to a line the DRAM cache does not
+        hold goes straight to the backing store, through the tracked
+        ``store``."""
+        system = make_system()
+        tracker = WearTracker().attach(system.controller)
+        addr = system.heap.alloc(LINE_SIZE, MemoryKind.NVM)
+        assert system.controller.dram_cache.lookup(addr) is None
+        system.controller.store_word(addr, 5)
+        assert tracker.line_writes == {addr: 1}
+        assert tracker.payload_bytes == 8
+        assert system.controller.load_word(addr) == 5
+
     def test_log_bytes_accounted(self):
         system = make_system()
         tracker = WearTracker().attach(system.controller)

@@ -16,9 +16,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cache.setassoc import SetAssociativeArray
+from repro.errors import AddressError
 from repro.htm import designs
+from repro.mem.address import DRAM_BASE, NVM_BASE, MemoryKind
+from repro.mem.backend import BackingStore
 from repro.mem.dram_cache import DramCache
-from repro.params import CacheGeometry, LINE_SIZE, MemoryConfig, SignatureConfig
+from repro.params import (
+    CacheGeometry,
+    LINE_SIZE,
+    LatencyConfig,
+    MemoryConfig,
+    SignatureConfig,
+    WORD_SIZE,
+)
 from repro.signatures.addresssig import SignaturePair
 from repro.signatures.bloom import BankedBloomFilter, BloomFilter
 from repro.signatures.hashing import MultiplicativeHashFamily
@@ -423,6 +433,95 @@ def test_dram_cache_heap_victim_matches_scan_reference(seed):
         assert optimized.drains == reference.drains
         assert optimized.overcommits == reference.overcommits
         assert real_nvm.stored == ref_nvm.stored
+
+
+# ---------------------------------------------------------------- backing store
+
+_WORD_MASK = ~(WORD_SIZE - 1)
+#: Zero, then the corners of the signed 64-bit range a word holds.
+EXTREME_VALUES = (0, -1, (1 << 63) - 1, -(1 << 63))
+
+
+def fits_word(value: int) -> bool:
+    return -(1 << 63) <= value < (1 << 63)
+
+
+class ReferenceStore:
+    """The dict-of-words backing store the paged one replaced."""
+
+    def __init__(self):
+        self.cells = {}
+
+    def load(self, addr):
+        return self.cells.get(addr & _WORD_MASK, 0)
+
+    def store(self, addr, value):
+        self.cells[addr & _WORD_MASK] = value
+
+    def nonzero(self):
+        return {addr: value for addr, value in self.cells.items() if value}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", [MemoryKind.DRAM, MemoryKind.NVM], ids=["dram", "nvm"])
+def test_paged_store_matches_dict_reference(kind, seed):
+    """Every operation on the paged store against a plain word dict, on
+    words either side of page boundaries."""
+    rng = random.Random(seed)
+    paged = BackingStore(kind, LatencyConfig())
+    reference = ReferenceStore()
+    base = DRAM_BASE if kind is MemoryKind.DRAM else NVM_BASE
+    words = [
+        base + page * 4096 + offset
+        for page in (1, 2, 9)
+        for offset in range(-2 * LINE_SIZE, 2 * LINE_SIZE, WORD_SIZE)
+    ]
+
+    def value():
+        if rng.random() < 0.5:
+            return rng.choice(EXTREME_VALUES)
+        return rng.randrange(-1000, 1000)
+
+    for step in range(3000):
+        addr = rng.choice(words) + rng.randrange(WORD_SIZE)
+        op = rng.randrange(10)
+        if op < 3:
+            v = value()
+            paged.store(addr, v)
+            reference.store(addr, v)
+        elif op < 6:
+            assert paged.load(addr) == reference.load(addr)
+        elif op < 8:
+            delta = rng.choice((1, -1, rng.randrange(-1000, 1000)))
+            total = reference.load(addr) + delta
+            if fits_word(total):
+                paged.rmw(addr, delta)
+                reference.store(addr, total)
+            else:
+                with pytest.raises(AddressError):
+                    paged.rmw(addr, delta)
+        elif op < 9:
+            line = addr & ~(LINE_SIZE - 1)
+            image = {
+                line + k * WORD_SIZE: value()
+                for k in sorted(rng.sample(range(8), rng.randrange(1, 9)))
+            }
+            paged.store_line(image)
+            for word_addr, v in image.items():
+                reference.store(word_addr, v)
+        elif rng.random() < 0.05:
+            paged.wipe()
+            reference.cells.clear()
+        if step % 50 == 0 or op == 9:
+            expected = reference.nonzero()
+            assert dict(paged.words()) == expected
+            assert paged.word_count() == len(expected)
+            snapshot = paged.clone_contents()
+            assert snapshot == expected
+            paged.store(words[0], 12345)
+            assert snapshot == expected  # a copy, not a view
+            reference.store(words[0], 12345)
+    assert dict(paged.words()) == reference.nonzero()
 
 
 # ---------------------------------------------------------------- end to end
