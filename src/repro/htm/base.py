@@ -34,6 +34,7 @@ from ..errors import (
     TransactionStateError,
 )
 from ..mem.address import NVM_BASE
+from ..mem.backend import WORD_MAX, WORD_MIN, word_error
 from ..mem.controller import MemoryController
 from ..params import DramLogPolicy, HTMConfig, LINE_SIZE, MachineConfig, WORD_SIZE
 from ..sim.engine import SimThread
@@ -302,8 +303,12 @@ class HTMSystem:
 
         One access per line of ``[addr, addr + nbytes)``, buffering
         ``value`` at that line's word; with ``nbytes <= 0`` nothing is
-        touched.
+        touched.  A value no memory word can hold raises
+        :class:`~repro.errors.AddressError` here, before any state changes,
+        as a non-transactional store of it would.
         """
+        if not (isinstance(value, int) and WORD_MIN <= value <= WORD_MAX):
+            raise word_error(value)
         entry = tx.entry
         hierarchy = self.hierarchy
         access = hierarchy.access

@@ -40,8 +40,22 @@ SLOT_MASK = PAGE_WORDS - 1
 _ZERO_PAGE = array("q", bytes(1 << PAGE_SHIFT))
 
 
+#: The values a word holds.
+WORD_MIN = -(1 << 63)
+WORD_MAX = (1 << 63) - 1
+
+
 def _overflow(value: int) -> AddressError:
     return AddressError(f"{value} does not fit a signed 64-bit word")
+
+
+def word_error(value: object) -> AddressError:
+    """The error a store of ``value`` raises: it is not an int, or it is
+    outside :data:`WORD_MIN`..:data:`WORD_MAX`.
+    """
+    if isinstance(value, int):
+        return _overflow(value)
+    return AddressError(f"stores take int values, got {type(value).__name__}")
 
 
 class BackingStore:
@@ -70,7 +84,7 @@ class BackingStore:
     def store(self, addr: int, value: int) -> None:
         """Write the 64-bit word containing ``addr``."""
         if not isinstance(value, int):
-            raise AddressError(f"stores take int values, got {type(value).__name__}")
+            raise word_error(value)
         # The page lookup is inlined here and below: stores build every
         # workload's initial data structures.
         page = self.pages.get(addr >> PAGE_SHIFT)

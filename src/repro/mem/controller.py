@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..errors import AddressError
 from ..params import LINE_SIZE, LatencyConfig, MemoryConfig
 from .address import AddressSpace, DRAM_BASE, MemoryKind, NVM_BASE, line_of
 
@@ -20,6 +21,10 @@ from .backend import PAGE_SHIFT, SLOT_MASK, WORD_SHIFT, BackingStore
 from .channel import MemoryChannel
 from .dram_cache import DramCache
 from .log import HardwareLog, RecordKind
+
+
+def _unmapped(addr: int) -> AddressError:
+    return AddressError(f"address {addr:#x} is not mapped")
 
 
 class MemoryController:
@@ -111,7 +116,10 @@ class MemoryController:
         return base + channel.request(now_ns)
 
     def load_word(self, addr: int) -> int:
-        """Architecturally visible value of a word, honouring the DRAM cache."""
+        """Architecturally visible value of a word, honouring the DRAM cache.
+
+        An address outside both regions raises :class:`AddressError`.
+        """
         if NVM_BASE <= addr < self._nvm_end:
             entry = self._dc_lookup(addr & _LINE_MASK)
             if entry is not None and addr in entry.words:
@@ -120,7 +128,7 @@ class MemoryController:
         elif DRAM_BASE <= addr < self._dram_end:
             page = self._dram_pages.get(addr >> PAGE_SHIFT)
         else:
-            page = self._nvm_pages.get(addr >> PAGE_SHIFT)
+            raise _unmapped(addr)
         # Inlined BackingStore.load: one page lookup instead of a call.
         if page is None:
             return 0
@@ -131,7 +139,8 @@ class MemoryController:
 
         An NVM store must update a resident DRAM-cache line rather than the
         backing NVM, or the stale cached copy would shadow the new value
-        until it drained.
+        until it drained.  An address outside both regions raises
+        :class:`AddressError`.
         """
         if NVM_BASE <= addr < self._nvm_end:
             if self.on_nontx_nvm_store is not None:
@@ -145,7 +154,7 @@ class MemoryController:
         if DRAM_BASE <= addr < self._dram_end:
             self.dram.store(addr, value)
             return
-        self.nvm.store(addr, value)
+        raise _unmapped(addr)
 
     def rmw_word(self, addr: int, delta: int) -> None:
         """Fused ``store_word(addr, load_word(addr) + delta)``.

@@ -27,8 +27,8 @@ class SignaturePair:
         family: Optional[HashFamily] = None,
     ) -> None:
         # Families are shared per (functions, buckets, seed): one transaction
-        # begins per retry attempt, and re-deriving multipliers (plus a cold
-        # hash memo) each time was a measurable share of the begin path.
+        # begins per retry attempt, and re-deriving multipliers each time was
+        # a measurable share of the begin path.
         bits = config.effective_bits(scale)
         if config.banked:
             bits -= bits % config.hash_functions or 0

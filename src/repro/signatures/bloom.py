@@ -14,12 +14,11 @@ class BloomFilter:
 
     Signature checks sit on the simulator's hottest path (every LLC miss in
     UHTM; every access in signature-only designs).  Insert and probe both
-    go through the hash family's memoised per-line indices (``k`` slots of
-    the family's page memo), so a warm insert sets ``k`` bytes and a warm
-    probe tests at most ``k`` bytes, stopping at the first clear one.  A
-    4096-bit filter costs 4 KB per instance; only the indices are shared
-    and memoised.  ``probe_key`` is the family's
-    :meth:`~.hashing.HashFamily.indices_for` itself, bound per instance, so
+    take the ``k`` byte offsets from the hash family's
+    :meth:`~.hashing.HashFamily.indices`, so an insert sets ``k`` bytes and
+    a probe tests at most ``k`` bytes, stopping at the first clear one.  A
+    4096-bit filter costs 4 KB per instance; only the family is shared.
+    ``probe_key`` is the family's ``indices`` itself, bound per instance, so
     a probe adds no call frame of its own.
     """
 
@@ -39,7 +38,7 @@ class BloomFilter:
         self.array = bytearray(bits)
         self._inserted = 0
         #: The byte offsets in :attr:`array` that a value maps to.
-        self.probe_key = self.family.indices_for
+        self.probe_key = self.family.indices
 
     @property
     def inserted(self) -> int:
@@ -162,7 +161,7 @@ class BankedBloomFilter(BloomFilter):
 
     def probe_key(self, value: int) -> Tuple[int, ...]:
         """One byte offset per bank: bank offset plus the bank's index."""
-        return tuple(map(add, self.family.indices_for(value), self._offsets))
+        return tuple(map(add, self.family.indices(value), self._offsets))
 
     def observed_false_positive_rate(self) -> float:
         """Product of per-bank occupancies: the aliasing rate of a random

@@ -11,6 +11,7 @@ footprint-to-cache ratio faithful.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, List, TYPE_CHECKING
 
@@ -103,13 +104,18 @@ def read_payload(
 
 
 class PayloadPool:
-    """Pre-allocated per-key payload blocks (no allocator churn on retry)."""
+    """Pre-allocated per-key payload blocks (no allocator churn on retry).
+
+    The block addresses are kept in a typed array, 8 B each, rather than a
+    list of boxed ints: a long scan's pool holds tens of thousands.
+    """
 
     def __init__(
         self, system: "System", keys: int, nbytes: int, kind: MemoryKind
     ) -> None:
         self.nbytes = nbytes
-        self._blocks = [system.heap.alloc(nbytes, kind) for _ in range(keys)]
+        alloc = system.heap.alloc
+        self._blocks = array("q", (alloc(nbytes, kind) for _ in range(keys)))
 
     def block_for(self, key: int) -> int:
         return self._blocks[key % len(self._blocks)]

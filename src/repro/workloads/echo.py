@@ -20,6 +20,7 @@ scans, evenly spaced — so small ratios still materialise in short runs.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
 
@@ -73,7 +74,8 @@ class EchoWorkload(Workload):
         self._clients_done = 0
         self._clients_total = 0
         self.long_txs_executed = 0
-        self._scan_keys: List[int] = []
+        #: Scan target keys, 8 B each: tens of thousands on a long scan.
+        self._scan_keys = array("q")
 
     def setup(self) -> None:
         nbuckets = max(128, self.params.initial_fill)
@@ -93,11 +95,14 @@ class EchoWorkload(Workload):
         hot_buckets = {
             TxHashMap._hash(key) % nbuckets for key in range(self.hot_keys)
         }
-        self._scan_keys = [
-            key
-            for key in range(self.hot_keys, self.params.initial_fill)
-            if TxHashMap._hash(key) % nbuckets not in hot_buckets
-        ]
+        self._scan_keys = array(
+            "q",
+            (
+                key
+                for key in range(self.hot_keys, self.params.initial_fill)
+                if TxHashMap._hash(key) % nbuckets not in hot_buckets
+            ),
+        )
 
     def thread_bodies(self) -> List[Callable]:
         """One master plus (threads - 1) clients (min one client)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import HTMConfig, MachineConfig, SignatureConfig, System, TransactionAborted
-from repro.errors import AbortReason, TransactionStateError
+from repro.errors import AbortReason, AddressError, TransactionStateError
 from repro.htm.tss import TxStatus
 from repro.mem.address import MemoryKind
 from repro.params import LINE_SIZE
@@ -101,6 +101,35 @@ class TestReadWriteVisibility:
         # Second write to the same line: no second log charge.
         system.htm.tx_write(tx, addr + 8, 2)
         assert system.stats.counter("nvm.log_appends") == 1
+
+
+class TestWriteValueRange:
+    """A value no memory word holds is rejected at the write, not at commit."""
+
+    @pytest.mark.parametrize("kind", [MemoryKind.NVM, MemoryKind.DRAM])
+    @pytest.mark.parametrize(
+        "value", [2**64, 2**63, -(2**63) - 1, 1.5], ids=str
+    )
+    def test_unstorable_value_rejected_before_any_state_changes(
+        self, kind, value
+    ):
+        system = make_system()
+        addr = system.heap.alloc_words(1, kind)
+        thread = make_thread()
+        tx = begin(system, thread)
+        before = thread.clock_ns
+        with pytest.raises(AddressError):
+            system.htm.tx_write(tx, addr, value)
+        assert thread.clock_ns == before
+        assert not tx.write_buffer and not tx.written_lines
+        assert tx.writes == 0
+        assert system.stats.counter("nvm.log_appends") == 0
+        # The transaction is still live and commits a word-sized value.
+        system.htm.tx_write(tx, addr, 2**63 - 1)
+        system.htm.tx_write(tx, addr + 8, -(2**63))
+        system.htm.commit(tx)
+        assert system.controller.load_word(addr) == 2**63 - 1
+        assert system.controller.load_word(addr + 8) == -(2**63)
 
 
 class TestAbortRollback:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import AddressError
 from repro.mem.controller import MemoryController
 from repro.mem.log import RecordKind
 from repro.params import LatencyConfig, MemoryConfig
@@ -174,6 +175,21 @@ class TestStoreWord:
         addr = dram_addr(controller)
         controller.store_word(addr, 11)
         assert controller.dram.load(addr) == 11
+
+    @pytest.mark.parametrize("where", ["low", "dram_end", "nvm_end"])
+    def test_unmapped_address_rejected(self, controller, where):
+        space = controller.address_space
+        addr = {"low": 0x40, "dram_end": space.dram_end, "nvm_end": space.nvm_end}[
+            where
+        ]
+        with pytest.raises(AddressError, match="not mapped"):
+            controller.store_word(addr, 5)
+        with pytest.raises(AddressError, match="not mapped"):
+            controller.load_word(addr)
+        with pytest.raises(AddressError, match="not mapped"):
+            controller.rmw_word(addr, 1)
+        assert controller.nvm.word_count() == 0
+        assert controller.dram.word_count() == 0
 
 
 class TestCrashRecovery:

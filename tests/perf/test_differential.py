@@ -44,8 +44,9 @@ SEEDS = (2020, 7)
 class ReferenceBloom:
     """Either filter kind as a plain set of ``(bank, index)`` positions.
 
-    A flat filter is one bank.  Indices come from the family's unmemoised
-    :meth:`indices`, so the reference shares no state with the filter.
+    A flat filter is one bank.  Indices come from the family's
+    :meth:`indices`; the positions are a set of the reference's own, so it
+    shares no state with the filter.
     """
 
     def __init__(self, family, banks: int = 1) -> None:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import random
 import tracemalloc
 
 import pytest
 
-from repro.signatures import hashing
 from repro.signatures.bloom import BankedBloomFilter, BloomFilter
 from repro.signatures.hashing import H3HashFamily, MultiplicativeHashFamily
+from repro.sim.rng import RngStreams
 
 
 @pytest.mark.parametrize("family_cls", [H3HashFamily, MultiplicativeHashFamily])
@@ -75,53 +77,50 @@ class TestUniformity:
         assert agreements < 30
 
 
-class TestIndexMemo:
-    """The per-family page memo of line indices: bounded, small, answer-neutral.
+def reference_indices(functions, buckets, seed, value):
+    """The multiplicative family's definition, one function at a time."""
+    rng = RngStreams(seed).stream("signatures.multipliers")
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(functions):
+        multiplier = (rng.getrandbits(64) | 1) & mask
+        h = ((value & mask) * multiplier) & mask
+        h ^= h >> 33
+        h = (h * 0xFF51AFD7ED558CCD) & mask
+        h ^= h >> 33
+        out.append(h % buckets)
+    return out
 
-    A 4 KB page of 64 lines is one typed array of ``64 * k`` slots, so a
-    memoised line costs about 10 B under tracemalloc (Python 3.11) where a
-    dict entry and its index tuple cost about 160 B.
-    """
 
-    def test_footprint_per_distinct_address(self):
-        """Inserting then probing a new line address costs at most 320 B.
+class TestPackedIndices:
+    """The packed pass equals the scalar definition and keeps no state."""
 
-        The cost is the line's share of its memo page (the array and its
-        dict slot), about 10 B over 4096 lines; the filter's byte array
-        does not grow.  The bound fails a memo that also keeps a 4096-bit
-        mask per address (about 850 B).
-        """
-        lines = 4096
-        family = MultiplicativeHashFamily(4, 4096, seed=11)
-        bloom = BloomFilter(4096, 4, family)
-        base = 0x4000_0000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for i in range(lines):
-                line = base + i * 64
-                bloom.insert(line)
-                assert bloom.maybe_contains(line)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert grown / lines <= 320
+    @pytest.mark.parametrize("functions", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("buckets", [1, 3, 1000, 1024, 4096, 65536])
+    def test_matches_scalar_reference(self, functions, buckets):
+        rng = random.Random(functions * 100_003 + buckets)
+        near_top = 1 << 44
+        values = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+        values += [rng.getrandbits(40) * 64 + rng.randrange(1, 64) for _ in range(40)]
+        values += [near_top + line * 64 for line in range(-20, 20)]
+        values += [rng.getrandbits(44) << 6 for _ in range(40)]
+        family = MultiplicativeHashFamily(functions, buckets, seed=31)
+        for value in values:
+            assert list(family.indices(value)) == reference_indices(
+                functions, buckets, 31, value
+            ), hex(value)
 
     @pytest.mark.parametrize("functions", [1, 4])
     @pytest.mark.parametrize("banked", [False, True], ids=["flat", "banked"])
     @pytest.mark.parametrize(
         "family_cls", [H3HashFamily, MultiplicativeHashFamily]
     )
-    def test_answers_match_fresh_family(
-        self, family_cls, banked, functions, monkeypatch
-    ):
-        """Keys and probe answers equal a memo-free family's, everywhere.
+    def test_answers_match_fresh_family(self, family_cls, banked, functions):
+        """Keys and probe answers equal a fresh family's, everywhere.
 
-        The probes straddle a page boundary, fill the first and last line
-        of 16 pages under a 4-page cap (so the memo clears several times),
-        mix in unaligned values, then repeat after the clears.
+        The probes straddle a page boundary, take the first and last line
+        of 16 pages, mix in unaligned values, then repeat.
         """
-        monkeypatch.setattr(hashing, "MEMO_PAGES", 4)
         bits = 512
         buckets = bits // functions if banked else bits
         family = family_cls(functions, buckets, seed=3)
@@ -148,55 +147,19 @@ class TestIndexMemo:
         probes = lines + unaligned + lines
         answers = [bloom.maybe_contains(p) for p in probes]
         for p in probes:
-            assert tuple(family.indices_for(p)) == tuple(fresh.indices(p)), hex(p)
+            assert tuple(family.indices(p)) == tuple(fresh.indices(p)), hex(p)
             assert tuple(bloom.probe_key(p)) == tuple(offsets(p)), hex(p)
         set_bits = {i for value in inserted for i in offsets(value)}
         assert answers == [all(i in set_bits for i in offsets(p)) for p in probes]
 
-    def test_pages_stay_bounded(self, monkeypatch):
-        monkeypatch.setattr(hashing, "MEMO_PAGES", 8)
-        family = MultiplicativeHashFamily(4, 4096)
-        for value in range(0, 4096 * 50, 64):
-            family.indices_for(value)
-            assert len(family._pages) <= 8
-        assert len(family._pages) >= 1
+    def test_footprint_per_distinct_address(self):
+        """Inserting then probing a new line address costs at most 320 B.
 
-    def test_unaligned_values_skip_memo(self):
-        family = MultiplicativeHashFamily(4, 4096, seed=5)
-        for value in range(0x1000_0001, 0x1000_0001 + 64 * 100, 64):
-            assert list(family.indices_for(value)) == list(family.indices(value))
-        assert family._pages == {}
-
-    def test_long_scan_never_clears(self):
-        """120,000 contiguous lines stay memoised through insert and probe.
-
-        ``long-scan`` touches about 100,000 distinct lines per family over
-        its seed list; a memo that clears before that recomputes them.
+        The filter's byte array does not grow, and the family keeps nothing
+        per value.  The bound fails a family or filter that keeps a
+        4096-bit mask per address (about 850 B).
         """
-        lines = 120_000
-        family = MultiplicativeHashFamily(4, 4096, seed=11)
-        fresh = MultiplicativeHashFamily(4, 4096, seed=11)
-        bloom = BloomFilter(4096, 4, family)
-        base = 0x4000_0000
-        values = range(base, base + lines * 64, 64)
-        for value in values:
-            bloom.insert(value)
-        pages = dict(family._pages)
-        assert len(pages) == lines // 64
-        for value in values:
-            assert bloom.maybe_contains(value)
-            assert tuple(family.indices_for(value)) == tuple(fresh.indices(value))
-        assert len(family._pages) == len(pages)
-        assert all(family._pages[n] is page for n, page in pages.items())
-
-    def test_footprint_amortised(self):
-        """16,384 new line addresses cost at most 16 B each, amortised.
-
-        A line's share of its memo page measures about 10 B with 2-byte
-        slots and about 18 B with 4-byte ones; a dict entry holding a tuple
-        of shared ints measured about 160 B.
-        """
-        lines = 16384
+        lines = 4096
         family = MultiplicativeHashFamily(4, 4096, seed=11)
         bloom = BloomFilter(4096, 4, family)
         base = 0x4000_0000
@@ -210,4 +173,31 @@ class TestIndexMemo:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert grown / lines <= 16
+        assert grown / lines <= 320
+
+    def test_hashing_new_lines_leaves_nothing_behind(self):
+        """16,384 new line addresses, inserted and probed, retain no memory.
+
+        The packed pass builds its temporaries per call and frees them; a
+        per-line memo of indices (about 10 B a line as typed-array pages)
+        would leave about 160 KB here.
+        """
+        lines = 16384
+        family = MultiplicativeHashFamily(4, 4096, seed=11)
+        bloom = BloomFilter(4096, 4, family)
+        base = 0x4000_0000
+        bloom.insert(base - 64)  # first-call allocations happen outside
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(lines):
+                line = base + i * 64
+                family.indices(line)
+                bloom.insert(line)
+                assert bloom.maybe_contains(line)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 1024
